@@ -1,4 +1,4 @@
-"""Golden-trace regression corpus: four frozen reference rollouts.
+"""Golden-trace regression corpus: six frozen reference rollouts.
 
 Each corpus entry freezes one execution path of the facade as a pair of
 fixture files under ``tests/golden/``:
@@ -8,11 +8,14 @@ fixture files under ``tests/golden/``:
 - ``<name>.trace.jsonl`` — the JSONL telemetry trace of the equivalent
   serial run (``simulate(telemetry=...)``).
 
-The four entries cover the paths a cache or kernel regression could
+The entries cover the paths a cache or kernel regression could
 silently skew: a nominal serial run, a fault campaign with mitigation,
 a lock-step batched run (whose lanes are bit-identical to serial runs,
-so the serial trace doubles as the batched reference), and a run served
-over the wire protocol (bit-identical to in-process by contract).
+so the serial trace doubles as the batched reference), a run served
+over the wire protocol (bit-identical to in-process by contract), a
+dynamic-track run whose identifier errors drive ISP/ROI
+reconfiguration, and a run with the LQG estimator, IMU noise and frame
+drops on.
 
 ``tests/test_golden_traces.py`` replays every entry and asserts byte
 equality.  After an *intentional* kernel change (which must also bump
@@ -21,18 +24,24 @@ equality.  After an *intentional* kernel change (which must also bump
 
     PYTHONPATH=src python tests/golden_corpus.py
 
-and review the resulting diff like any other behaviour change.
+and review the resulting diff like any other behaviour change.  Entry
+names given on the command line regenerate only those entries.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional, Sequence
+
+from repro.hil.engine import HilConfig
+from repro.sim.world import fig7_track
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: The facade keywords of each corpus entry.  Values are pure JSON so
-#: the ``served`` entry can travel over the wire protocol unchanged.
+#: The facade keywords of each corpus entry.  The ``served`` entry's
+#: values are pure JSON so it can travel over the wire protocol
+#: unchanged.
 #: Frames are small and tracks short: the fixtures stay a few hundred
 #: kilobytes and each replay runs in well under a second.
 CORPUS: Dict[str, Dict[str, object]] = {
@@ -65,6 +74,21 @@ CORPUS: Dict[str, Dict[str, object]] = {
         "seed": 17,
         "frame": (96, 48),
         "length_m": 40.0,
+    },
+    "dynamic_oracle": {
+        "track": fig7_track(straight_length=6.0, turn_length=4.0),
+        "case": "variable",
+        "identifier": "oracle:0.9",
+        "seed": 7,
+        "frame": (96, 48),
+    },
+    "lqg_imu_drop": {
+        "situation": 8,
+        "case": "case4",
+        "seed": 19,
+        "frame": (96, 48),
+        "length_m": 40.0,
+        "config": HilConfig(use_lqg=True, imu_noise=True, frame_drop_rate=0.2),
     },
 }
 
@@ -113,12 +137,12 @@ def reference_result(name: str):
     return repro.api.simulate(**params)
 
 
-def regenerate() -> None:
-    """Rebuild every fixture pair under ``tests/golden/``."""
+def regenerate(names: Optional[Sequence[str]] = None) -> None:
+    """Rebuild the fixture pairs of *names* (default: every entry)."""
     import repro.api
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name in CORPUS:
+    for name in names or CORPUS:
         result = reference_result(name)
         result.save(str(npz_path(name)))
         repro.api.simulate(**serial_params(name), telemetry=trace_path(name))
@@ -126,4 +150,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
