@@ -2,13 +2,21 @@
 
 Evaluates one reduced-fidelity characterization slice — a
 same-situation knob grid of 16 rollouts at 48x24 camera fidelity —
-four ways: the serial per-task path, and lock-step lane chunks of 4,
-16, and auto.  Each arm's wall clock, its speedup over serial, and the
-batch composition go to ``extra_info``; every arm must agree
-bit-identically with the serial sweep, and the auto batch must clear
-3x over the serial single-process sweep (the headroom the batched
+four ways: the one-lane sweep (``batch=1``: every rollout runs alone,
+as ``HilEngine.run`` does), and lock-step lane chunks of 4, 16, and
+auto.  Each arm's wall clock, its speedup over the one-lane sweep, and
+the batch composition go to ``extra_info``; every arm must agree
+bit-identically with the one-lane sweep, and the auto batch must clear
+3x over it in a single process (the headroom the batched
 plant/render/ISP/perception kernels buy by amortizing numpy dispatch
 across lanes).
+
+The first arm used to time a separate per-step serial loop, since
+deleted; its figures are kept in :data:`BEFORE_ONE_LOOP` and recorded
+beside the current ones.  The one-lane sweep is faster than that loop
+(its perception already uses the batched warp and NaN-median), so the
+speedup ratio reads lower than before while the auto arm did not slow
+down.
 
 Timings are best-of-2 per arm: the suite shares one CPU with whatever
 else the host runs, and ``min`` is the standard robust estimator for
@@ -22,7 +30,6 @@ import time
 from repro.core.characterization import (
     CharacterizationConfig,
     _knob_tasks,
-    _knob_worker,
     _run_knob_tasks,
     roi_candidates,
 )
@@ -42,6 +49,10 @@ CONFIG = CharacterizationConfig(
 )
 
 _ROUNDS = 2
+
+#: This slice while the first arm still ran the per-step serial loop
+#: (best of 2, Intel Xeon, 2 vCPUs, numpy 2.4.6, Python 3.11).
+BEFORE_ONE_LOOP = {"serial_s": 15.86, "batch_auto_s": 4.42}
 
 
 def _slice_tasks():
@@ -64,7 +75,7 @@ def _best_of(fn, rounds=_ROUNDS):
 def test_batched_rollouts_speedup(benchmark):
     tasks = _slice_tasks()
 
-    serial, serial_s = _best_of(lambda: [_knob_worker(t) for t in tasks])
+    serial, serial_s = _best_of(lambda: _run_knob_tasks(tasks, 1, 1))
 
     arms = {}
     for label, batch in (("batch4", 4), ("batch16", 16), ("batch_auto", "auto")):
@@ -79,8 +90,13 @@ def test_batched_rollouts_speedup(benchmark):
     for label, wall_s in arms.items():
         benchmark.extra_info[f"{label}_s"] = round(wall_s, 3)
         benchmark.extra_info[f"{label}_speedup"] = round(serial_s / wall_s, 2)
+    for key, value in BEFORE_ONE_LOOP.items():
+        benchmark.extra_info[f"before_{key}"] = value
+    benchmark.extra_info["before_batch_auto_speedup"] = round(
+        BEFORE_ONE_LOOP["serial_s"] / BEFORE_ONE_LOOP["batch_auto_s"], 2
+    )
 
-    print(f"\nserial sweep       : {serial_s:7.2f} s  (x1.00)")
+    print(f"\none-lane sweep     : {serial_s:7.2f} s  (x1.00)")
     for label, wall_s in arms.items():
         print(
             f"{label:<19}: {wall_s:7.2f} s  (x{serial_s / wall_s:.2f})"

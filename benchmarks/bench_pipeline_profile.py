@@ -7,6 +7,10 @@ observability counterpart of ``bench_table2_runtimes``: that bench
 reproduces the *modeled* numbers, this one shows where this host's
 wall clock actually goes.
 
+The stage means measured while ``HilEngine.run`` still had its own
+per-step serial loop are kept in :data:`BEFORE_ONE_LOOP` and recorded
+as ``before_<stage>_mean_ms`` beside the current ones.
+
 Also pins the telemetry no-op contract: with no recorder active the
 per-cycle hooks cost one ``get_active() is None`` check, so a disabled
 run's wall clock and simulated arrays must be indistinguishable from a
@@ -26,6 +30,18 @@ from repro.sim.world import static_situation_track
 from repro.telemetry import TelemetryRecorder, activated
 from repro.utils.profiling import format_stage_table
 
+#: Per-stage mean ms of this episode under the per-step serial loop
+#: (Intel Xeon, 2 vCPUs, numpy 2.4.6, Python 3.11).
+BEFORE_ONE_LOOP = {
+    "hil.render": 3.685,
+    "isp.demosaic": 1.285,
+    "isp.gamut_map": 0.340,
+    "hil.isp": 1.687,
+    "hil.classifier": 0.046,
+    "hil.pr": 6.055,
+    "hil.control": 0.074,
+}
+
 
 def test_pipeline_stage_profile(once, benchmark, capsys):
     track = static_situation_track(situation_by_index(1), length=60.0)
@@ -43,6 +59,8 @@ def test_pipeline_stage_profile(once, benchmark, capsys):
     for label, stat in result.profile.items():
         benchmark.extra_info[f"{label}_mean_ms"] = round(stat.mean_ms, 4)
         benchmark.extra_info[f"{label}_count"] = stat.count
+    for label, mean_ms in BEFORE_ONE_LOOP.items():
+        benchmark.extra_info[f"before_{label}_mean_ms"] = mean_ms
     benchmark.extra_info["modeled_pr_ms"] = pr_runtime_ms()
     benchmark.extra_info["modeled_control_ms"] = control_runtime_ms()
 

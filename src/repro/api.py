@@ -237,40 +237,46 @@ def simulate(
         Base :class:`HilConfig`; the keywords above override it field
         by field.
     """
+    from repro.hil.batch import BatchedHilEngine
     from repro.hil.engine import HilEngine
+    from repro.telemetry import TelemetryRecorder, activated, write_trace
+    from repro.utils.parallel import resolve_batch
 
     resolved_track, _ = _coerce_track(track, situation, length_m)
-    if seed is not None and not isinstance(seed, int):
-        if telemetry is not None:
-            raise ValueError(
-                "telemetry= records one run's event stream; it cannot be "
-                "combined with a seed sequence (run the seeds one at a time)"
-            )
-        from repro.hil.batch import BatchedHilEngine
-        from repro.utils.parallel import resolve_batch
-
-        seeds = list(seed)
-        configs = [
-            _build_config(config, s, frame, profile, faults, mitigate)
-            for s in seeds
-        ]
+    single = seed is None or isinstance(seed, int)
+    if telemetry is not None and not single:
+        raise ValueError(
+            "telemetry= records one run's event stream; it cannot be "
+            "combined with a seed sequence (run the seeds one at a time)"
+        )
+    # A single run is a one-seed batch: lanes, cache lookup and
+    # write-back all go through BatchedHilEngine.
+    seeds = [seed] if single else list(seed)
+    configs = [
+        _build_config(config, s, frame, profile, faults, mitigate)
+        for s in seeds
+    ]
+    store = None
+    if telemetry is None:
         store = _resolve_rollout_cache(cache, configs[0] if configs else None)
-        documents = None
-        if store is not None:
-            from repro.cache import rollout_key_document
+    documents = None
+    if store is not None:
+        from repro.cache import rollout_key_document
 
-            documents = [
-                rollout_key_document(
-                    track=resolved_track,
-                    case=case,
-                    table=table,
-                    identifier=identifier,
-                    config=cfg,
-                )
-                for cfg in configs
-            ]
-        lanes = resolve_batch(batch, len(seeds))
-        results: list[HilResult] = []
+        documents = [
+            rollout_key_document(
+                track=resolved_track,
+                case=case,
+                table=table,
+                identifier=identifier,
+                config=cfg,
+            )
+            for cfg in configs
+        ]
+    lanes = 1 if single else resolve_batch(batch, len(seeds))
+    recorder = TelemetryRecorder() if telemetry is not None else None
+    results: list[HilResult] = []
+    with activated(recorder):
         for start in range(0, len(seeds), lanes):
             engines = [
                 HilEngine(
@@ -293,37 +299,9 @@ def simulate(
                     ),
                 ).run()
             )
-        return results
-    cfg = _build_config(config, seed, frame, profile, faults, mitigate)
-    store = None if telemetry is not None else _resolve_rollout_cache(cache, cfg)
-    document = None
-    if store is not None:
-        from repro.cache import rollout_key_document
-
-        document = rollout_key_document(
-            track=resolved_track,
-            case=case,
-            table=table,
-            identifier=identifier,
-            config=cfg,
-        )
-        hit = store.load(document)
-        if hit is not None:
-            return hit
-    engine = HilEngine(
-        resolved_track, case, table=table, identifier=identifier, config=cfg
-    )
-    if telemetry is None:
-        result = engine.run()
-        if store is not None:
-            store.store(document, result)
-        return result
-    from repro.telemetry import TelemetryRecorder, activated, write_trace
-
-    with activated(TelemetryRecorder()) as recorder:
-        result = engine.run()
-    write_trace(telemetry, result.manifest, recorder.events)
-    return result
+    if recorder is not None:
+        write_trace(telemetry, results[0].manifest, recorder.events)
+    return results[0] if single else results
 
 
 def characterize(

@@ -5,7 +5,7 @@ speed) is evaluated in closed-loop HiL simulation and the tuning with
 the best QoC (lowest MAE, crashes disqualify) is recorded — the
 reproduction of Table III.
 
-A frame-level prescreen (:func:`repro.perception.evaluation.evaluate_sequence`)
+A frame-level prescreen (:func:`repro.perception.evaluation.evaluate_sequence_batch`)
 first filters ISP configurations that cannot detect lanes in the
 situation at all; the closed-loop budget is then spent on the
 survivors: the cheapest detectable configuration (it buys the fastest
@@ -17,22 +17,24 @@ Every evaluation (a prescreen sequence or a closed-loop run) is an
 independent, self-seeded simulation, so the sweep fans out across a
 process pool (:func:`repro.utils.parallel.parallel_map`): the flat work
 list — situation x ISP candidate x ROI x speed — is mapped across
-``jobs`` workers and reassembled in submission order, producing a table
-bit-identical to the serial path for any worker count.  ``jobs=1``
+``jobs`` workers and reassembled in submission order, producing the
+same table bit for bit for any worker count.  ``jobs=1``
 (the default) never spawns a process.
 
 On top of the process fan-out, ``batch`` composes: each work item
 shipped to a worker is a *lane chunk* of up to ``batch`` same-situation
-evaluations, advanced lock-step through the batched rollout engine
+evaluations, advanced lock-step through the rollout engine
 (:class:`repro.hil.batch.BatchedHilEngine`) or the batched prescreen
 (:func:`repro.perception.evaluation.evaluate_sequence_batch`), so the
 vectorized render/ISP/perception kernels amortize numpy dispatch across
-the whole chunk.  Lane order inside a chunk and chunk order across the
-sweep both follow submission order, and every lane is bit-identical to
-its serial evaluation — the resulting table does not depend on
-``(jobs, batch)``.  ``batch`` resolves explicit > ``$REPRO_BATCH`` >
-auto (:func:`repro.utils.parallel.resolve_batch`); ``batch=1`` takes
-the original per-task code path.
+the whole chunk.  There is one code path for every ``batch``:
+``batch=1`` is a sweep of one-lane chunks, and a one-lane rollout is
+exactly what :meth:`repro.hil.engine.HilEngine.run` runs.  Lane order
+inside a chunk and chunk order across the sweep both follow submission
+order, and every lane is bit-identical to the same evaluation run
+alone — the resulting table does not depend on ``(jobs, batch)``.
+``batch`` resolves explicit > ``$REPRO_BATCH`` > auto
+(:func:`repro.utils.parallel.resolve_batch`).
 
 Every closed-loop rollout reads through the content-addressed rollout
 store (:mod:`repro.cache`) when caching is on: pool workers look
@@ -61,7 +63,7 @@ from repro.core.cases import case_config
 from repro.core.knobs import KnobSetting
 from repro.core.situation import RoadLayout, Situation, TABLE3_SITUATIONS
 from repro.isp.configs import ISP_CONFIGS
-from repro.perception.evaluation import evaluate_sequence, evaluate_sequence_batch
+from repro.perception.evaluation import evaluate_sequence_batch
 from repro.platform.profiles import isp_runtime_ms
 from repro.sim.camera import CameraModel
 from repro.utils.cache import ArtifactCache
@@ -148,16 +150,8 @@ def roi_candidates(situation: Situation) -> List[str]:
 
 # ---------------------------------------------------------------------------
 # picklable work specs + workers (module-level so a process pool can
-# ship them; each evaluates one independent, self-seeded simulation)
-
-
-@dataclass(frozen=True)
-class _PrescreenTask:
-    """One frame-level detectability evaluation (situation x ISP)."""
-
-    situation: Situation
-    isp: str
-    config: CharacterizationConfig
+# ship them; each evaluates a chunk of independent, self-seeded
+# simulations)
 
 
 @dataclass(frozen=True)
@@ -193,21 +187,6 @@ class _KnobOutcome:
     result: Optional[object] = None
 
 
-def _prescreen_worker(task: _PrescreenTask) -> float:
-    """Bad-frame rate of one ISP configuration in one situation."""
-    config = task.config
-    roi = roi_candidates(task.situation)[-1]  # widest layout-consistent preset
-    stats = evaluate_sequence(
-        task.situation,
-        task.isp,
-        roi,
-        n_frames=config.prescreen_frames,
-        seed=config.seed,
-        camera=CameraModel(width=config.frame_width, height=config.frame_height),
-    )
-    return stats.bad_frame_rate()
-
-
 def _worker_store(cache_root: Optional[str]) -> Optional[RolloutCache]:
     """A read-through store for a worker, or ``None`` (caching off).
 
@@ -233,47 +212,6 @@ def _evaluate_result(knobs: KnobSetting, case, result) -> KnobEvaluation:
         crashed=result.crashed,
         period_ms=timing.period_ms,
         delay_ms=timing.delay_ms,
-    )
-
-
-def _knob_worker(task: _KnobTask) -> _KnobOutcome:
-    """Closed-loop QoC of one knob setting in one situation."""
-    # Imported here: the HiL engine composes the whole system, and a
-    # module-level import would make repro.core depend on repro.hil
-    # circularly (hil's engine imports repro.core.reconfiguration).
-    from repro.hil.engine import HilConfig, HilEngine
-    from repro.sim.world import static_situation_track
-
-    config = task.config
-    case = case_config("case4")
-    knobs = KnobSetting(isp=task.isp, roi=task.roi, speed_kmph=task.speed_kmph)
-    track = static_situation_track(task.situation, length=config.track_length)
-    hil_config = HilConfig(
-        seed=config.seed,
-        frame_width=config.frame_width,
-        frame_height=config.frame_height,
-    )
-    document = None
-    store = _worker_store(task.cache_root)
-    if store is not None:
-        document = rollout_key_document(
-            track=track,
-            case=case,
-            table={task.situation: knobs},
-            identifier=None,
-            config=hil_config,
-        )
-        cached = store.load(document)
-        if cached is not None:
-            return _KnobOutcome(_evaluate_result(knobs, case, cached), document)
-    engine = HilEngine(
-        track, case, table={task.situation: knobs}, config=hil_config
-    )
-    result = engine.run()
-    return _KnobOutcome(
-        _evaluate_result(knobs, case, result),
-        document,
-        result if document is not None else None,
     )
 
 
@@ -316,14 +254,16 @@ def _knob_chunk_worker(chunk: _KnobChunk) -> Tuple[_KnobOutcome, ...]:
     is bit-identical to per-lane copies) and the batched engine can
     group their render calls.  Cached lanes drop out before the batch
     is built — only the misses are rolled — which stays bit-identical
-    because lanes are independent.
+    because lanes are independent.  The worker only reads the store;
+    fresh results travel home for the parent to write back.
     """
+    # Imported here: the HiL engine composes the whole system, and a
+    # module-level import would make repro.core depend on repro.hil
+    # circularly (hil's engine imports repro.core.reconfiguration).
     from repro.hil.batch import BatchedHilEngine
     from repro.hil.engine import HilConfig, HilEngine
     from repro.sim.world import static_situation_track
 
-    if len(chunk.tasks) == 1:
-        return (_knob_worker(chunk.tasks[0]),)
     config = chunk.tasks[0].config
     situation = chunk.tasks[0].situation
     case = case_config("case4")
@@ -477,6 +417,37 @@ def _store_prescreen(
     )
 
 
+def _prescreen(
+    situations: Sequence[Situation],
+    config: CharacterizationConfig,
+    n_jobs: int,
+    batch: Union[int, str, None],
+) -> List[List[Tuple[str, float]]]:
+    """The (isp, bad_rate) list of each situation, in argument order.
+
+    Every situation's ISP configs are split into lane chunks (chunks
+    never span situations: their lanes share one rendered sequence) and
+    fanned out together.  A failed chunk marks each of its configs fully
+    undetectable (bad rate 1.0) so the sweep continues on the survivors.
+    """
+    lanes = resolve_batch(batch, len(config.isp_names) * len(situations), n_jobs)
+    owners: List[int] = []
+    chunks: List[_PrescreenChunk] = []
+    for k, situation in enumerate(situations):
+        for isps in _chunked(config.isp_names, lanes):
+            owners.append(k)
+            chunks.append(_PrescreenChunk(situation, isps, config))
+    chunk_rates = parallel_map(
+        _prescreen_chunk_worker, chunks, jobs=n_jobs, label="prescreen"
+    )
+    prescreens: List[List[Tuple[str, float]]] = [[] for _ in situations]
+    for k, chunk, rates in zip(owners, chunks, chunk_rates):
+        if isinstance(rates, TaskFailure):
+            rates = (1.0,) * len(chunk.isps)
+        prescreens[k].extend(zip(chunk.isps, rates))
+    return prescreens
+
+
 def prescreen_isp(
     situation: Situation,
     config: CharacterizationConfig,
@@ -499,29 +470,7 @@ def prescreen_isp(
     cached = _load_prescreen(cache, situation, config)
     if cached is not None:
         return cached
-    n_jobs = resolve_jobs(jobs)
-    lanes = resolve_batch(batch, len(config.isp_names), n_jobs)
-    if lanes <= 1:
-        tasks = [_PrescreenTask(situation, isp, config) for isp in config.isp_names]
-        rates = parallel_map(_prescreen_worker, tasks, jobs=n_jobs, label="prescreen")
-    else:
-        chunks = [
-            _PrescreenChunk(situation, isps, config)
-            for isps in _chunked(config.isp_names, lanes)
-        ]
-        chunk_rates = parallel_map(
-            _prescreen_chunk_worker, chunks, jobs=n_jobs, label="prescreen"
-        )
-        rates = []
-        for chunk, result in zip(chunks, chunk_rates):
-            if isinstance(result, TaskFailure):
-                rates.extend([result] * len(chunk.isps))
-            else:
-                rates.extend(result)
-    prescreen = [
-        (isp, 1.0 if isinstance(rate, TaskFailure) else rate)
-        for isp, rate in zip(config.isp_names, rates)
-    ]
+    (prescreen,) = _prescreen([situation], config, resolve_jobs(jobs), batch)
     _store_prescreen(cache, situation, config, prescreen)
     return prescreen
 
@@ -554,13 +503,11 @@ def _run_knob_tasks(
     """Evaluate a flat knob-task list, chunked into lock-step lanes.
 
     Chunks never span situations (their lanes share one track), and the
-    flattened results keep submission order, so the output is the same
-    list ``parallel_map(_knob_worker, tasks, ...)`` would produce — for
-    any ``(jobs, batch)`` composition.
+    flattened results keep submission order, one outcome (or
+    :class:`TaskFailure`) per task, so the output is the same list for
+    any ``(jobs, batch)`` composition — ``batch=1`` runs one-lane chunks.
     """
     lanes = resolve_batch(batch, len(tasks), n_jobs)
-    if lanes <= 1:
-        return parallel_map(_knob_worker, tasks, jobs=n_jobs, label="characterize")
     by_situation: Dict[Situation, List[int]] = {}
     for i, task in enumerate(tasks):
         by_situation.setdefault(task.situation, []).append(i)
@@ -667,9 +614,9 @@ def characterize(
     :func:`repro.utils.parallel.parallel_map`, so a multi-situation
     table saturates ``jobs`` workers even when single situations have
     few knob settings.  ``batch`` additionally sizes the lock-step lane
-    chunk each worker advances in one batched rollout.  The result is
-    bit-identical to the serial path (``jobs=1``, ``batch=1``) for any
-    ``(jobs, batch)`` composition.
+    chunk each worker advances in one lock-step rollout.  The result is
+    bit-identical for any ``(jobs, batch)`` composition, ``jobs=1``,
+    ``batch=1`` included.
 
     With caching on (``use_cache=True``, the default) every closed-loop
     rollout reads through the content-addressed rollout store
@@ -698,39 +645,9 @@ def characterize(
             prescreens[situation] = cached
         else:
             pending.append(situation)
-    n_isp = len(config.isp_names)
     if pending:
-        lanes = resolve_batch(batch, n_isp * len(pending), n_jobs)
-        if lanes <= 1:
-            prescreen_tasks = [
-                _PrescreenTask(situation, isp, config)
-                for situation in pending
-                for isp in config.isp_names
-            ]
-            rates = parallel_map(
-                _prescreen_worker, prescreen_tasks, jobs=n_jobs, label="prescreen"
-            )
-        else:
-            prescreen_chunks = [
-                _PrescreenChunk(situation, isps, config)
-                for situation in pending
-                for isps in _chunked(config.isp_names, lanes)
-            ]
-            chunk_rates = parallel_map(
-                _prescreen_chunk_worker, prescreen_chunks, jobs=n_jobs, label="prescreen"
-            )
-            rates = []
-            for chunk, result in zip(prescreen_chunks, chunk_rates):
-                if isinstance(result, TaskFailure):
-                    rates.extend([result] * len(chunk.isps))
-                else:
-                    rates.extend(result)
-        for i, situation in enumerate(pending):
-            chunk = rates[i * n_isp : (i + 1) * n_isp]
-            prescreen = [
-                (isp, 1.0 if isinstance(rate, TaskFailure) else rate)
-                for isp, rate in zip(config.isp_names, chunk)
-            ]
+        fresh = _prescreen(pending, config, n_jobs, batch)
+        for situation, prescreen in zip(pending, fresh):
             prescreens[situation] = prescreen
             _store_prescreen(pre_cache, situation, config, prescreen)
     candidates: Dict[Situation, List[str]] = {

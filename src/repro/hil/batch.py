@@ -1,6 +1,9 @@
-"""Batched lock-step rollout engine.
+"""The rollout loop: a lock-step engine over one or more lanes.
 
-Sweeps (Table III characterization, Monte-Carlo studies) evaluate many
+This module holds the only step loop of the closed-loop simulation.
+:meth:`HilEngine.run <repro.hil.engine.HilEngine.run>` is its one-lane
+case (``BatchedHilEngine([engine]).run()[0]``); sweeps (Table III
+characterization, Monte-Carlo studies) use it to evaluate many
 *independent* closed-loop rollouts whose per-cycle cost is dominated by
 numpy dispatch overhead, not arithmetic.  :class:`BatchedHilEngine`
 advances B rollouts ("lanes") in lock step — lanes advance their own
@@ -23,17 +26,20 @@ Between cycles, lanes sharing a plant configuration advance their
 5 ms steps as one stacked cohort (:meth:`Vehicle.step_batch` +
 :meth:`Track.frenet_batch`).  Everything else — controller,
 reconfiguration manager, fault injection, RNG draws — is each lane's
-own serial Python, executed through the exact seam methods of
+own serial Python, executed through the seam methods of
 :class:`repro.hil.engine.HilEngine`.  Batching happens over the leading
 axis only and per-lane reduction orders are unchanged, so every lane's
-:class:`HilResult` trace is bit-identical to running that lane alone
-through ``HilEngine.run`` (see DESIGN.md for the invariance argument).
+:class:`HilResult` trace is bit-identical to the same lane run alone —
+the B=1 case, ``HilEngine.run`` — whatever its batch (see DESIGN.md for
+the invariance argument).  A lane without a partner in a stage takes
+that stage's scalar kernel (``Vehicle.step``, ``render_raw``,
+``IspPipeline.process``); the stacked twins are pinned against them.
 
 Lanes leave the active set as soon as they crash, finish the track, or
 exhaust their step budget; the survivors keep batching until the last
 lane retires.  A lane whose cycle takes a fault path that has no
 batched equivalent (an ISP tap, non-null classifier outcomes) simply
-drops to the serial kernels for that cycle — correctness never depends
+drops to the scalar kernels for that cycle — correctness never depends
 on batch composition.
 """
 
@@ -59,6 +65,7 @@ from repro.sim.geometry import Pose2D
 from repro.sim.renderer import render_raw_batch
 from repro.sim.track import Track
 from repro.sim.vehicle import Vehicle, VehicleState
+from repro.telemetry import build_manifest
 from repro.telemetry import recorder as telemetry
 from repro.utils import profiling
 from repro.utils.profiling import profile
@@ -68,29 +75,68 @@ __all__ = ["BatchedHilEngine", "run_batch"]
 
 @dataclass
 class _Lane:
-    """Mutable per-lane rollout state (one serial run's loop variables)."""
+    """Mutable per-lane rollout state (one rollout's loop variables)."""
 
     engine: HilEngine
     vehicle: object
     n_steps: int
+    s_hint: float
     controller: Optional[LaneKeepingController] = None
     step: int = 0
     control_due: int = 0
     pending: list = field(default_factory=list)
     current_u: float = 0.0
-    s_hint: float = 0.0
     crashed: bool = False
     crash_s: Optional[float] = None
     completed: bool = False
     recorded: int = 0
     cycles: list = field(default_factory=list)
-    times: np.ndarray = None  # type: ignore[assignment]
-    s_arr: np.ndarray = None  # type: ignore[assignment]
-    d_arr: np.ndarray = None  # type: ignore[assignment]
-    y_arr: np.ndarray = None  # type: ignore[assignment]
-    steer_arr: np.ndarray = None  # type: ignore[assignment]
-    speed_arr: np.ndarray = None  # type: ignore[assignment]
     active: bool = True
+    # Per-step trace rows, filled up to ``recorded``.
+    times: np.ndarray = field(init=False)
+    s_arr: np.ndarray = field(init=False)
+    d_arr: np.ndarray = field(init=False)
+    y_arr: np.ndarray = field(init=False)
+    steer_arr: np.ndarray = field(init=False)
+    speed_arr: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = self.n_steps
+        self.times, self.s_arr, self.d_arr = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.y_arr, self.steer_arr, self.speed_arr = np.zeros(n), np.zeros(n), np.zeros(n)
+
+    @classmethod
+    def start(cls, engine: HilEngine, start_s: float) -> "_Lane":
+        vehicle, n_steps = engine._start_run(start_s)
+        return cls(engine=engine, vehicle=vehicle, n_steps=n_steps, s_hint=start_s)
+
+    def result(self, profiler, wall_started: float, wall_finished: float) -> HilResult:
+        """Assemble the :class:`HilResult` of the finished rollout.
+
+        The manifest is pure provenance (config hash, versions, RNG
+        stream names, wall-clock bounds): always attached, never read
+        back by the loop, so the simulated arrays stay bit-identical.
+        """
+        n = self.recorded
+        return HilResult(
+            time_s=self.times[:n],
+            s=self.s_arr[:n],
+            lateral_offset=self.d_arr[:n],
+            y_l_true=self.y_arr[:n],
+            steering=self.steer_arr[:n],
+            speed=self.speed_arr[:n],
+            cycles=self.cycles,
+            crashed=self.crashed,
+            crash_s=self.crash_s,
+            completed=self.completed,
+            profile=profiler.stats() if profiler is not None else None,
+            manifest=build_manifest(
+                config=self.engine.config,
+                rng_streams=self.engine.rng_streams,
+                started_at=wall_started,
+                finished_at=wall_finished,
+            ),
+        )
 
 
 class BatchedHilEngine:
@@ -109,7 +155,7 @@ class BatchedHilEngine:
 
     Sharing track objects, camera sizes, ISP names, or identifier
     instances across lanes is what unlocks the batched kernels, but
-    none of it is required — unshared lanes fall back to their serial
+    none of it is required — unshared lanes fall back to their scalar
     kernels and stay bit-identical either way.
 
     ``cache``/``cache_documents`` enable per-lane result reuse: before
@@ -118,9 +164,7 @@ class BatchedHilEngine:
     result)``, normally a :class:`repro.cache.RolloutCache`) and only
     the misses are rolled — a batch with partial hits shrinks to its
     live lanes, which stay bit-identical because lanes are independent.
-    Fresh results are written back unless ``cache_write=False`` (the
-    sweep runner's pool workers read through but leave writing to the
-    parent process).
+    Fresh results are written back.
     """
 
     def __init__(
@@ -129,7 +173,6 @@ class BatchedHilEngine:
         *,
         cache=None,
         cache_documents: Optional[Sequence[Optional[dict]]] = None,
-        cache_write: bool = True,
     ):
         if not engines:
             raise ValueError("BatchedHilEngine needs at least one engine")
@@ -145,7 +188,6 @@ class BatchedHilEngine:
         self.cache_documents = (
             list(cache_documents) if cache_documents is not None else None
         )
-        self.cache_write = cache_write
 
     @staticmethod
     def _t_ms(lane: _Lane) -> float:
@@ -170,8 +212,7 @@ class BatchedHilEngine:
             fresh = self._run_lanes([self.engines[i] for i in live], start_s)
             for i, result in zip(live, fresh):
                 results[i] = result
-                if self.cache_write:
-                    self.cache.store(self.cache_documents[i], result)
+                self.cache.store(self.cache_documents[i], result)
         return results  # type: ignore[return-value]
 
     def _run_lanes(
@@ -187,18 +228,7 @@ class BatchedHilEngine:
             profiler = local_profiler = profiling.Profiler()
             profiling.activate(local_profiler)
 
-        lanes: List[_Lane] = []
-        for engine in engines:
-            vehicle, n_steps = engine._start_run(start_s)
-            lane = _Lane(engine=engine, vehicle=vehicle, n_steps=n_steps)
-            lane.s_hint = start_s
-            lane.times = np.zeros(n_steps)
-            lane.s_arr = np.zeros(n_steps)
-            lane.d_arr = np.zeros(n_steps)
-            lane.y_arr = np.zeros(n_steps)
-            lane.steer_arr = np.zeros(n_steps)
-            lane.speed_arr = np.zeros(n_steps)
-            lanes.append(lane)
+        lanes = [_Lane.start(engine, start_s) for engine in engines]
 
         wall_started = time.time()
         try:
@@ -219,33 +249,15 @@ class BatchedHilEngine:
             rec.metrics.absorb_profiler(profiler.stats())
 
         wall_finished = time.time()
-        return [
-            lane.engine._build_result(
-                lane.times,
-                lane.s_arr,
-                lane.d_arr,
-                lane.y_arr,
-                lane.steer_arr,
-                lane.speed_arr,
-                lane.recorded,
-                lane.cycles,
-                lane.crashed,
-                lane.crash_s,
-                lane.completed,
-                profiler,
-                wall_started,
-                wall_finished,
-            )
-            for lane in lanes
-        ]
+        return [lane.result(profiler, wall_started, wall_finished) for lane in lanes]
 
     # ------------------------------------------------------------------
 
     def _advance_to_cycle(self, lane: _Lane) -> None:
         """Advance a lane's plant steps until its next control cycle.
 
-        Replays the serial loop exactly: actuate pending commands at the
-        top of every step, stop *before* the cycle when the step hits
+        The per-step order: actuate pending commands at the top of
+        every step, stop *before* the cycle when the step hits
         ``control_due``, otherwise run the step's plant update.  The
         lane deactivates here when its step budget runs out.
         """
@@ -254,8 +266,9 @@ class BatchedHilEngine:
             if step >= lane.n_steps:
                 lane.active = False
                 return
-            # Actuate commands whose sensor-to-actuation delay elapsed
-            # (before the new sample, exactly as the serial loop does).
+            # Actuate commands whose sensor-to-actuation delay elapsed.
+            # This happens before the new sample: with tau == h the
+            # command lands exactly when the next frame is taken.
             while lane.pending and lane.pending[0][0] <= step:
                 lane.current_u = lane.pending.pop(0)[1]
             if step == lane.control_due:
@@ -263,37 +276,20 @@ class BatchedHilEngine:
             self._post_step(lane)
 
     def _post_step(self, lane: _Lane) -> None:
-        """The plant half of one simulation step: move, record, check."""
-        step = lane.step
+        """The plant half of one simulation step on the scalar kernels."""
         step_s = lane.engine.config.sim_step_ms / 1000.0
         lane.vehicle.step(step_s, lane.current_u)
         state = lane.vehicle.state
         track = lane.engine.track
         s_now, d_now = track.frenet(state.pose.x, state.pose.y, s_hint=lane.s_hint)
-        lane.s_hint = s_now
         look = (
             state.pose.position()
             + lane.engine.perception.lookahead * state.pose.forward()
         )
         _, y_true = track.frenet(look[0], look[1], s_hint=s_now)
-
-        lane.times[lane.recorded] = (step + 1) * step_s
-        lane.s_arr[lane.recorded] = s_now
-        lane.d_arr[lane.recorded] = d_now
-        lane.y_arr[lane.recorded] = y_true
-        lane.steer_arr[lane.recorded] = state.steer
-        lane.speed_arr[lane.recorded] = state.speed
-        lane.recorded += 1
-        lane.step += 1
-
-        cfg = lane.engine.config
-        if abs(d_now) > cfg.crash_offset_m:
-            lane.crashed = True
-            lane.crash_s = s_now
-            lane.active = False
-        elif s_now >= track.length - cfg.end_margin_m:
-            lane.completed = True
-            lane.active = False
+        self._record_step(
+            lane, track, step_s, s_now, d_now, y_true, state.steer, state.speed
+        )
 
     @staticmethod
     def _plant_groups(lanes: List[_Lane]) -> Dict[tuple, List[_Lane]]:
@@ -317,7 +313,7 @@ class BatchedHilEngine:
         stacked cohort through :meth:`Vehicle.step_batch` and
         :meth:`Track.frenet_batch`; a lane with no cohort partner takes
         the scalar :meth:`_advance_to_cycle` path.  Either way each
-        lane replays the serial per-step logic in the serial order.
+        lane runs the same per-step logic in the same order.
         """
         for (step_ms, params, _), members in self._plant_groups(lanes).items():
             if len(members) == 1:
@@ -329,7 +325,7 @@ class BatchedHilEngine:
         """Lock-step plant ticks for one homogeneous lane cohort.
 
         The cohort's plant state lives in stacked arrays across ticks;
-        each tick applies the serial per-step logic to every lane not
+        each tick applies the per-step logic to every lane not
         yet at its cycle — budget check, pending actuation, then one
         vectorized plant step.  Lanes drop out of the tick as they hit
         their ``control_due`` (or crash / finish / exhaust the budget);
@@ -337,24 +333,7 @@ class BatchedHilEngine:
         at the rendezvous.
         """
         track = members[0].engine.track
-        state = np.array(
-            [
-                [
-                    lane.vehicle.state.pose.x,
-                    lane.vehicle.state.pose.y,
-                    lane.vehicle.state.pose.heading,
-                    lane.vehicle.state.lateral_velocity,
-                    lane.vehicle.state.yaw_rate,
-                ]
-                for lane in members
-            ]
-        )
-        speed = np.array([lane.vehicle.state.speed for lane in members])
-        steer = np.array([lane.vehicle.state.steer for lane in members])
-        target = np.array([lane.vehicle.target_speed for lane in members])
-        u = np.array([lane.current_u for lane in members])
-        hints = np.array([lane.s_hint for lane in members])
-        look = np.array([lane.engine.perception.lookahead for lane in members])
+        state, speed, steer, target, u, hints, look = self._gather(members)
 
         while True:
             idxs = []
@@ -403,8 +382,8 @@ class BatchedHilEngine:
 
         Same stacked update as :meth:`_advance_group` but for exactly
         one step, with state re-gathered because the cycle just changed
-        each lane's speed target.  No pending actuation here: the serial
-        loop pops commands before the cycle, not after.
+        each lane's speed target.  No pending actuation here: commands
+        are popped before the cycle, not after.
         """
         for (step_ms, params, _), members in self._plant_groups(due).items():
             if len(members) == 1:
@@ -412,26 +391,7 @@ class BatchedHilEngine:
                 continue
             dt = step_ms / 1000.0
             track = members[0].engine.track
-            state = np.array(
-                [
-                    [
-                        lane.vehicle.state.pose.x,
-                        lane.vehicle.state.pose.y,
-                        lane.vehicle.state.pose.heading,
-                        lane.vehicle.state.lateral_velocity,
-                        lane.vehicle.state.yaw_rate,
-                    ]
-                    for lane in members
-                ]
-            )
-            speed = np.array([lane.vehicle.state.speed for lane in members])
-            steer = np.array([lane.vehicle.state.steer for lane in members])
-            target = np.array([lane.vehicle.target_speed for lane in members])
-            u = np.array([lane.current_u for lane in members])
-            hints = np.array([lane.s_hint for lane in members])
-            look = np.array(
-                [lane.engine.perception.lookahead for lane in members]
-            )
+            state, speed, steer, target, u, hints, look = self._gather(members)
             new_state, new_speed, new_steer = Vehicle.step_batch(
                 params, dt, state, speed, steer, target, u
             )
@@ -451,6 +411,38 @@ class BatchedHilEngine:
                 )
                 if lane.active:
                     self._write_state(lane, new_state[j], new_speed[j], new_steer[j])
+
+    @staticmethod
+    def _gather(members: List[_Lane]):
+        """Stack a cohort's plant inputs, one row per lane.
+
+        Returns ``(state, speed, steer, target, u, hints, look)``:
+        the ``(B, 5)`` pose + lateral-velocity + yaw-rate state, then
+        per-lane speed, steer angle, speed target, applied command,
+        Frenet hint and perception look-ahead distance.
+        """
+        states = [lane.vehicle.state for lane in members]
+        state = np.array(
+            [
+                [
+                    st.pose.x,
+                    st.pose.y,
+                    st.pose.heading,
+                    st.lateral_velocity,
+                    st.yaw_rate,
+                ]
+                for st in states
+            ]
+        )
+        return (
+            state,
+            np.array([st.speed for st in states]),
+            np.array([st.steer for st in states]),
+            np.array([lane.vehicle.target_speed for lane in members]),
+            np.array([lane.current_u for lane in members]),
+            np.array([lane.s_hint for lane in members]),
+            np.array([lane.engine.perception.lookahead for lane in members]),
+        )
 
     @staticmethod
     def _project_batch(
@@ -590,7 +582,7 @@ class BatchedHilEngine:
             tap = due[i].engine.injector.isp_tap(self._t_ms(due[i]))
             if tap is not None:
                 # An active ISP tap fault has per-stage hooks the
-                # batched kernels cannot honour: serial path this cycle.
+                # batched kernels cannot honour: scalar kernel this cycle.
                 with profile("hil.isp"):
                     rgbs[i] = due[i].engine._isp(pres[i].active_isp).process(
                         raws[i], tap=tap
@@ -605,7 +597,8 @@ class BatchedHilEngine:
                     rgbs[i] = pipeline.process(raws[i])
             else:
                 stacked = np.stack([raws[i] for i in members])
-                batch_rgb = pipeline.process_batch(stacked)
+                with profile("hil.isp", count=len(members)):
+                    batch_rgb = pipeline.process_batch(stacked)
                 for j, i in enumerate(members):
                     rgbs[i] = batch_rgb[j]
         return rgbs
@@ -622,7 +615,7 @@ class BatchedHilEngine:
         Only lanes whose injector is the stateless :class:`NullInjector`
         may precompute features: their ``classifier_outcomes`` is
         guaranteed ``None`` (the clean path), so handing the features to
-        :meth:`HilEngine._cycle_classify` skips exactly the serial
+        :meth:`HilEngine._cycle_classify` skips exactly the per-lane
         ``identify`` call and nothing else.  Any identifier exposing
         ``identify_batch`` (e.g. ``CnnIdentifier``) qualifies; grouping
         is by identifier *instance* — shared weights by construction.
@@ -639,7 +632,7 @@ class BatchedHilEngine:
                 groups.setdefault(id(engine.identifier), []).append(i)
         for members in groups.values():
             if len(members) < 2:
-                continue  # serial call inside _cycle_classify is as fast
+                continue  # the per-lane call inside _cycle_classify is as fast
             identifier = due[members[0]].engine.identifier
             with profile("hil.classifier", count=len(members)):
                 batched = identifier.identify_batch(
@@ -692,11 +685,11 @@ def run_batch(
     ``track`` and ``table`` may be single values (shared by every lane)
     or per-lane sequences.  ``identifier`` accepts a registry spec
     string (resolved per lane, so each lane derives its own identifier
-    RNG streams exactly as a serial run would) or a stateless
+    RNG streams exactly as a one-lane run would) or a stateless
     identifier instance such as :class:`CnnIdentifier` (shared across
     lanes, which is what enables the stacked classifier forward).
-    Results come back in config order, each bit-identical to
-    ``HilEngine(...).run(start_s)`` for that lane.
+    Results come back in config order, each bit-identical to that
+    lane's one-lane run, ``HilEngine(...).run(start_s)``.
     """
     n_lanes = len(configs)
     tracks = list(track) if isinstance(track, (list, tuple)) else [track] * n_lanes

@@ -1,11 +1,14 @@
 """Bit-identity tests for the batched lock-step rollout engine.
 
 Every test pits :class:`repro.hil.batch.BatchedHilEngine` (or one of
-its facades) against serial ``HilEngine.run`` on the same configs and
-asserts the full traces are *exactly* equal — the engine's contract is
-bitwise equivalence for any batch composition, including lanes that
-crash mid-batch, finish early, or carry fault plans the batched
-kernels must fall back from.
+its facades) against ``HilEngine.run`` on the same configs and asserts
+the full traces are *exactly* equal.  ``HilEngine.run`` is the
+one-lane case of the same engine, where every stage runs its scalar
+kernel (``Vehicle.step``, ``render_raw``, ``IspPipeline.process``), so
+these tests pin the stacked cohort kernels of B >= 2 batches against
+the scalar ones.  The engine's contract is bitwise equivalence for any
+batch composition, including lanes that crash mid-batch, finish early,
+or carry fault plans the batched kernels must fall back from.
 """
 
 from __future__ import annotations
@@ -113,6 +116,20 @@ class TestBitIdentity:
         assert batched[0].profile  # spans were collected
         assert_results_equal(batched[0], _serial(track, "case2", plain))
         assert_results_equal(batched[1], _serial(track, "case2", plain))
+
+
+class TestProfiling:
+    def test_batched_isp_group_records_its_span(self):
+        """A stacked ISP group counts one ``hil.isp`` frame per lane."""
+        track = _track(length=60.0)
+        configs = [
+            HilConfig(seed=s, profile=True, frame_width=96, frame_height=48)
+            for s in (2, 3)
+        ]
+        stats = run_batch(configs, track=track, case="case2")[0].profile
+        assert stats["hil.render"].count > 0
+        assert "hil.isp" in stats, sorted(stats)
+        assert stats["hil.isp"].count == stats["hil.render"].count
 
 
 class TestFacades:
