@@ -17,7 +17,7 @@ from repro.core.situation import situation_by_index
 from repro.isp.pipeline import IspPipeline
 from repro.perception.pipeline import PerceptionPipeline
 from repro.sim.camera import CameraModel
-from repro.sim.renderer import RoadSceneRenderer
+from repro.sim.renderer import RoadSceneRenderer, render_raw_batch
 from repro.sim.vehicle import Vehicle, VehicleParams, VehicleState
 from repro.sim.world import static_situation_track
 
@@ -36,6 +36,54 @@ def scene():
 def test_bench_render_raw(benchmark, scene):
     _, _, renderer, pose, _, _ = scene
     benchmark(renderer.render_raw, pose)
+
+
+#: Best-of-50 ms of ``render_raw`` and ``render_raw_batch`` while the
+#: renderer still computed full RGB frames and mosaicked them (median
+#: of five runs; Intel Xeon, 2 vCPUs, numpy 2.4.6, Python 3.11).
+BEFORE_BAYER_KERNEL = {
+    (48, 24, 8): {"render_raw_ms": 0.374, "batch_ms": 1.866},
+    (384, 192, 4): {"render_raw_ms": 12.764, "batch_ms": 58.592},
+}
+
+
+def _best_ms(fn, repeats: int = 50) -> float:
+    """Best-of-repeats wall clock of ``fn()`` in milliseconds."""
+    import time
+
+    fn()  # warm caches
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
+@pytest.mark.parametrize(
+    "width,height,lanes", [(48, 24, 8), (384, 192, 4)], ids=["48x24-B8", "384x192-B4"]
+)
+def test_bench_render_raw_batch(benchmark, width, height, lanes):
+    """Stacked render of one sweep-sized batch, with the before/after ledger.
+
+    ``extra_info`` records best-of-50 ``render_raw`` and
+    ``render_raw_batch`` times beside the figures measured before the
+    renderer wrote the Bayer plane directly.
+    """
+    camera = CameraModel(width=width, height=height)
+    track = static_situation_track(situation_by_index(1), length=200.0)
+    renderers = [RoadSceneRenderer(camera, track, seed=k) for k in range(lanes)]
+    poses = [track.pose_at(40.0 + 2.0 * k, 0.1) for k in range(lanes)]
+
+    render_raw_ms = _best_ms(lambda: renderers[0].render_raw(poses[0]))
+    batch_ms = _best_ms(lambda: render_raw_batch(renderers, poses))
+    benchmark.extra_info["render_raw_ms"] = round(render_raw_ms, 4)
+    benchmark.extra_info["batch_ms"] = round(batch_ms, 4)
+    for name, before_ms in BEFORE_BAYER_KERNEL[(width, height, lanes)].items():
+        benchmark.extra_info[f"before_{name}"] = before_ms
+
+    frames = benchmark(render_raw_batch, renderers, poses)
+    assert frames.shape == (lanes, height, width)
 
 
 @pytest.mark.parametrize("config", ["S0", "S3", "S5", "S8"])

@@ -11,9 +11,10 @@ advances B rollouts ("lanes") in lock step — lanes advance their own
 three hot sensing stages through single batched kernel calls per
 cycle:
 
-- **render** — lanes sharing (track, camera, options) stack their poses
-  over the shared per-situation photometry constants
-  (:func:`repro.sim.renderer.render_raw_batch`);
+- **render** — every sensing lane goes through
+  :func:`repro.sim.renderer.render_raw_batch`, one call per (track,
+  camera, options) group; its kernel writes the RGGB Bayer planes of
+  the stacked poses directly (``render_raw`` is its one-lane case);
 - **ISP** — lanes running the same configuration stack their RAW planes
   through :meth:`repro.isp.pipeline.IspPipeline.process_batch`;
 - **classifier** — lanes sharing a :class:`CnnIdentifier` run one
@@ -31,9 +32,10 @@ own serial Python, executed through the seam methods of
 axis only and per-lane reduction orders are unchanged, so every lane's
 :class:`HilResult` trace is bit-identical to the same lane run alone —
 the B=1 case, ``HilEngine.run`` — whatever its batch (see DESIGN.md for
-the invariance argument).  A lane without a partner in a stage takes
-that stage's scalar kernel (``Vehicle.step``, ``render_raw``,
-``IspPipeline.process``); the stacked twins are pinned against them.
+the invariance argument).  Rendering and perception batch even a lone
+lane; in the plant step and the ISP a lane without a partner takes the
+scalar kernel (``Vehicle.step``, ``IspPipeline.process``), and the
+stacked twins are pinned against them.
 
 Lanes leave the active set as soon as they crash, finish the track, or
 exhaust their step budget; the survivors keep batching until the last
@@ -551,17 +553,12 @@ class BatchedHilEngine:
 
         raws: Dict[int, np.ndarray] = {}
         for members in groups.values():
-            if len(members) == 1:
-                i = members[0]
-                with profile("hil.render"):
-                    raws[i] = due[i].engine.renderer.render_raw(pres[i].state.pose)
-            else:
-                renderers = [due[i].engine.renderer for i in members]
-                poses = [pres[i].state.pose for i in members]
-                with profile("hil.render", count=len(members)):
-                    stacked = render_raw_batch(renderers, poses)
-                for j, i in enumerate(members):
-                    raws[i] = stacked[j]
+            renderers = [due[i].engine.renderer for i in members]
+            poses = [pres[i].state.pose for i in members]
+            with profile("hil.render", count=len(members)):
+                stacked = render_raw_batch(renderers, poses)
+            for j, i in enumerate(members):
+                raws[i] = stacked[j]
         for i in sensing:
             raws[i] = due[i].engine.injector.corrupt_raw(
                 self._t_ms(due[i]), raws[i]

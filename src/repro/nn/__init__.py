@@ -4,7 +4,8 @@ Implements exactly what the situation classifiers need: convolution
 (im2col), batch norm, ReLU, pooling, dense layers, softmax
 cross-entropy, SGD-with-momentum / Adam, a sequential container with
 residual blocks (the ResNet-18 design cue of Table IV, scaled to the
-synthetic task), and ``.npz`` serialization.
+synthetic task), and weight state as named arrays
+(:mod:`repro.nn.serialize`, stored by the artifact cache).
 
 Data layout is NCHW throughout.
 """
@@ -25,7 +26,6 @@ from repro.nn.model import Sequential, ResidualBlock, FusedResidualBlock
 from repro.nn.losses import softmax_cross_entropy, softmax
 from repro.nn.optim import SGD, Adam
 from repro.nn.trainer import Trainer, TrainConfig, TrainReport
-from repro.nn.serialize import save_model_weights, load_model_weights
 
 __all__ = [
     "Layer",
@@ -48,6 +48,4 @@ __all__ = [
     "Trainer",
     "TrainConfig",
     "TrainReport",
-    "save_model_weights",
-    "load_model_weights",
 ]

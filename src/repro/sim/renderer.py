@@ -8,13 +8,24 @@ For every frame the renderer:
    per-pixel road coordinates ``(s, d)``,
 3. evaluates the lane-marking appearance field (color, dash pattern,
    single/double lines, per-sector lane types) with footprint-based
-   anti-aliasing,
+   anti-aliasing — only on pixels within reach of a marking centreline,
+   since everywhere else the coverage is exactly 0 and changes nothing,
 4. applies the scene photometry (exposure, illuminant tint, headlight
    falloff) of the sector the vehicle is in,
-5. optionally mosaics to an RGGB Bayer RAW frame with sensor noise —
-   the input the :mod:`repro.isp` pipeline expects.
+5. writes one colour channel per pixel: the RGGB Bayer plane the
+   :mod:`repro.isp` pipeline expects, to which each lane then adds its
+   own sensor noise.
 
-The output RGB is *linear light*; the tone-mapping ISP stage is what
+Steps 1-5 run as one kernel over a leading batch axis.  It evaluates only
+the Bayer channel a pixel keeps, from per-pixel albedo tables built
+once per camera and per-photometry planes built once per scene, so the
+two thirds of an RGB frame a mosaic would discard are never computed.
+:func:`render_raw_batch` renders many lanes in one call and
+:meth:`RoadSceneRenderer.render_raw` is its one-lane case;
+:meth:`RoadSceneRenderer.render_rgb` is the same kernel run once per
+channel with every pixel set to that channel.
+
+The radiance is *linear light*; the tone-mapping ISP stage is what
 moves it to a display/perception-friendly domain, which is exactly why
 skipping that stage hurts low-light situations in the reproduction.
 """
@@ -30,7 +41,7 @@ from repro.core.situation import LaneColor, LaneForm, Scene
 from repro.sim.camera import CameraModel, GroundMap
 from repro.sim.geometry import Pose2D, rotation_matrix
 from repro.sim.photometry import ScenePhotometry, photometry_for
-from repro.sim.sensor import add_sensor_noise, mosaic, mosaic_batch
+from repro.sim.sensor import add_sensor_noise
 from repro.sim.track import Track
 from repro.utils.rng import derive_rng
 from repro.utils.scratch import ScratchCache
@@ -60,6 +71,10 @@ SHOULDER_ALBEDO = np.array([0.10, 0.20, 0.08], dtype=np.float32)
 _FORM_CODE = {LaneForm.CONTINUOUS: 0, LaneForm.DOTTED: 1, LaneForm.DOUBLE: 2}
 _COLOR_CODE = {LaneColor.WHITE: 0, LaneColor.YELLOW: 1}
 
+#: RGGB channel (0 R, 1 G, 2 B) by (row parity, column parity); the
+#: pattern :func:`repro.sim.sensor.mosaic` samples.
+_BAYER_CHANNEL = np.array([[0, 1], [1, 2]], dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class RenderOptions:
@@ -85,6 +100,23 @@ class RenderOptions:
     adjacent_lane_width: float = 3.25
     right_shoulder: float = 0.6
     noise: bool = True
+
+
+@dataclass(frozen=True)
+class _ChannelPlan:
+    """Which colour channel each pixel of an output plane carries.
+
+    ``frame`` holds the channel (0 R, 1 G, 2 B) of every frame pixel and
+    ``ground`` that of every on-ground pixel; ``road`` .. ``yellow`` are
+    the material albedos gathered by ``ground``.
+    """
+
+    frame: np.ndarray
+    ground: np.ndarray
+    road: np.ndarray
+    shoulder: np.ndarray
+    white: np.ndarray
+    yellow: np.ndarray
 
 
 class RoadSceneRenderer:
@@ -115,13 +147,24 @@ class RoadSceneRenderer:
             gm.forward_footprint.ravel()[self._vidx], 1e-4
         ).astype(np.float32)
         self._local = np.stack([self._fwd, self._lat], axis=-1)
+        # Coverage of either marking is exactly 0 once a pixel is farther
+        # than the outer double-line edge plus half a footprint from the
+        # marking centreline; a whole footprint keeps the cut clear of
+        # float32 rounding.
+        self._reach = (
+            np.float32(DOUBLE_LINE_OFFSET + MARK_HALF_WIDTH) + self._lat_fp
+        )
         # Per-segment appearance tables are pose-independent: built once
         # here, reused by every frame (never recomputed per render).
         self._segment_tables = self._build_segment_tables()
-        # Reusable per-frame temporaries (world points, albedo planes)
-        # and per-photometry float32 constants; both bounded.
-        self._scratch = ScratchCache(max_entries=16)
+        # Per-channel albedo tables (the Bayer plane built up front, the
+        # RGB planes on first use) and per-photometry float32 planes:
+        # bounded by the four channel plans and the five scenes.
+        self._plans: dict = {}
+        self._plan(None)
         self._photometry_arrays: dict = {}
+        # Reusable per-frame world-point buffer.
+        self._scratch = ScratchCache(max_entries=16)
 
     # ------------------------------------------------------------------
     # public API
@@ -134,28 +177,24 @@ class RoadSceneRenderer:
 
         When *scene* is ``None`` the scene condition of the sector the
         vehicle currently occupies is used (dynamic-track behaviour).
+        The three channels are three passes of the Bayer kernel, each
+        with every pixel set to one channel.
         """
-        s_vehicle, _ = self.track.frenet(pose.x, pose.y)
-        if scene is None:
-            scene = self.track.situation_at(s_vehicle).scene
-        photometry = photometry_for(scene)
-        return self._render(pose, photometry, s_vehicle)
+        s_vehicle, photometry = self._situate(pose, scene)
+        planes = [
+            self._render_planes([pose], [s_vehicle], photometry, channel)[0]
+            for channel in range(3)
+        ]
+        return np.stack(planes, axis=-1)
 
     def render_raw(
         self, pose: Pose2D, scene: Optional[Scene] = None
     ) -> np.ndarray:
-        """Render the RGGB Bayer RAW frame (what the ISP consumes)."""
-        s_vehicle, _ = self.track.frenet(pose.x, pose.y)
-        if scene is None:
-            scene = self.track.situation_at(s_vehicle).scene
-        photometry = photometry_for(scene)
-        rgb = self._render(pose, photometry, s_vehicle)
-        raw = mosaic(rgb)
-        if self.options.noise:
-            raw = add_sensor_noise(
-                raw, self._noise_rng, photometry.read_noise, photometry.shot_noise
-            )
-        return raw
+        """Render the RGGB Bayer RAW frame (what the ISP consumes).
+
+        The one-lane case of :func:`render_raw_batch`.
+        """
+        return render_raw_batch([self], [pose], [scene])[0]
 
     def scene_at(self, pose: Pose2D) -> Scene:
         """The scene condition of the sector containing *pose*."""
@@ -165,6 +204,15 @@ class RoadSceneRenderer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _situate(
+        self, pose: Pose2D, scene: Optional[Scene]
+    ) -> Tuple[float, ScenePhotometry]:
+        """Vehicle arc length and the photometry of *scene* (or its sector)."""
+        s_vehicle, _ = self.track.frenet(pose.x, pose.y)
+        if scene is None:
+            scene = self.track.situation_at(s_vehicle).scene
+        return s_vehicle, photometry_for(scene)
 
     def _build_segment_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-segment (s_start, lane-form code, lane-color code) arrays."""
@@ -177,123 +225,91 @@ class RoadSceneRenderer:
         )
         return bounds, forms, colors
 
-    def _photometry_constants(self, photometry: ScenePhotometry):
-        """Float32 tint/sky arrays, built once per photometry object."""
-        cached = self._photometry_arrays.get(photometry)
-        if cached is None:
-            cached = (
-                photometry.tint_array().astype(np.float32),
-                (photometry.sky_array() * max(photometry.exposure, 0.05)).astype(
-                    np.float32
-                ),
+    def _plan(self, channel: Optional[int]) -> _ChannelPlan:
+        """The cached :class:`_ChannelPlan` of one output plane.
+
+        *channel* ``None`` is the RGGB Bayer plane; 0, 1 and 2 put every
+        pixel in the R, G or B channel.
+        """
+        plan = self._plans.get(channel)
+        if plan is None:
+            height, width = self.camera.height, self.camera.width
+            if channel is None:
+                frame = _BAYER_CHANNEL[
+                    np.arange(height)[:, None] % 2, np.arange(width)[None, :] % 2
+                ].ravel()
+            else:
+                frame = np.full(height * width, channel, dtype=np.int8)
+            ground = frame[self._vidx]
+            plan = _ChannelPlan(
+                frame=frame,
+                ground=ground,
+                road=ROAD_ALBEDO[ground],
+                shoulder=SHOULDER_ALBEDO[ground],
+                white=WHITE_ALBEDO[ground],
+                yellow=YELLOW_ALBEDO[ground],
             )
-            self._photometry_arrays[photometry] = cached
+            self._plans[channel] = plan
+        return plan
+
+    def _photometry_planes(
+        self, photometry: ScenePhotometry, channel: Optional[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-pixel ``(gain, tint, sky)`` float32 planes of one photometry.
+
+        ``gain`` is the exposure times the headlight falloff on the
+        ground pixels, ``tint`` the illuminant cast in each ground
+        pixel's channel, ``sky`` the clipped frame-sized sky plane.
+        Built once per (photometry, channel) pair.
+        """
+        key = (photometry, channel)
+        cached = self._photometry_arrays.get(key)
+        if cached is None:
+            plan = self._plan(channel)
+            exposure = np.float32(photometry.exposure)
+            if np.isfinite(photometry.headlight_falloff):
+                gain = exposure * (
+                    np.float32(0.25)
+                    + np.float32(0.75)
+                    * np.exp(-self._fwd / np.float32(photometry.headlight_falloff))
+                )
+            else:
+                gain = np.full(self._fwd.shape, exposure, dtype=np.float32)
+            tint = photometry.tint_array().astype(np.float32)[plan.ground]
+            sky = (photometry.sky_array() * max(photometry.exposure, 0.05)).astype(
+                np.float32
+            )[plan.frame]
+            np.clip(sky, 0.0, 1.0, out=sky)
+            cached = (gain, tint, sky)
+            self._photometry_arrays[key] = cached
         return cached
 
-    def _render(
-        self, pose: Pose2D, photometry: ScenePhotometry, s_vehicle: float
-    ) -> np.ndarray:
-        cam = self.camera
-        opts = self.options
-        height, width = cam.height, cam.width
-
-        # 1. ground pixels -> world -> road coordinates
-        rot = rotation_matrix(pose.heading).astype(np.float32)
-        world = self._scratch.get("world", self._local.shape)
-        np.matmul(self._local, rot.T, out=world)
-        world += pose.position().astype(np.float32)
-        window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
-        s_pt, d_pt, on_track = self.track.locate_points(world, window)
-        s_pt = np.where(on_track, s_pt, np.float32(0.0))
-        d_pt = np.where(on_track, d_pt, np.float32(1e6))  # far off-road
-
-        # 2. base albedo: asphalt / shoulder, with position-stable texture
-        half = opts.lane_width / 2.0
-        on_road = (d_pt >= -(half + opts.right_shoulder)) & (
-            d_pt <= half + opts.adjacent_lane_width
-        )
-        albedo = np.where(
-            on_road[:, None],
-            ROAD_ALBEDO[None, :],
-            SHOULDER_ALBEDO[None, :],
-        )
-        texture = np.float32(opts.texture_amplitude) * _position_hash(s_pt, d_pt)
-        albedo *= np.float32(1.0) + texture[:, None]
-
-        # 3. lane markings
-        seg_idx = (
-            np.searchsorted(self._segment_tables[0], s_pt, side="right") - 1
-        ).clip(0, len(self.track.segments) - 1)
-        form_code = self._segment_tables[1][seg_idx]
-        color_code = self._segment_tables[2][seg_idx]
-
-        left_cov = self._marking_coverage(
-            d_pt - half, s_pt, form_code, self._lat_fp, self._fwd_fp
-        )
-        right_cov = self._marking_coverage(
-            d_pt + half,
-            s_pt,
-            np.full_like(form_code, _FORM_CODE[LaneForm.DOTTED]),
-            self._lat_fp,
-            self._fwd_fp,
-        )
-        left_color = np.where(
-            color_code[:, None] == _COLOR_CODE[LaneColor.YELLOW],
-            YELLOW_ALBEDO[None, :],
-            WHITE_ALBEDO[None, :],
-        )
-        albedo += left_cov[:, None] * (left_color - albedo)
-        albedo += right_cov[:, None] * (WHITE_ALBEDO[None, :] - albedo)
-
-        # 4. photometry: exposure, headlight falloff, tint, ambient.
-        # Lane paint is retroreflective (glass beads): under headlight
-        # illumination the markings return extra light to the camera.
-        # ``albedo`` is a fresh per-call temporary, so the radiance
-        # chain runs in place on it.
-        tint, sky = self._photometry_constants(photometry)
-        if np.isfinite(photometry.headlight_falloff):
-            illum = np.float32(photometry.exposure) * (
-                np.float32(0.25)
-                + np.float32(0.75)
-                * np.exp(-self._fwd / np.float32(photometry.headlight_falloff))
-            )
-            marking_cov = np.maximum(left_cov, right_cov)
-            retro = np.float32(1.0) + np.float32(RETROREFLECTIVE_GAIN) * marking_cov
-            albedo *= (illum * retro)[:, None]
-        else:
-            albedo *= np.float32(photometry.exposure)
-        albedo *= tint
-        albedo += np.float32(photometry.ambient)
-        radiance = albedo
-
-        # 5. scatter into the frame; sky everywhere else
-        frame = np.empty((height * width, 3), dtype=np.float32)
-        frame[:] = sky
-        frame[self._vidx] = radiance
-        np.clip(frame, 0.0, 1.0, out=frame)
-        return frame.reshape(height, width, 3)
-
-    def _render_batch(
+    def _render_planes(
         self,
         poses: Sequence[Pose2D],
-        photometry: ScenePhotometry,
         s_vehicles: Sequence[float],
+        photometry: ScenePhotometry,
+        channel: Optional[int] = None,
     ) -> np.ndarray:
-        """Render B frames sharing one photometry as ``(B, H, W, 3)``.
+        """Render B frames sharing one photometry as ``(B, H, W)`` planes.
 
-        Mirrors :meth:`_render` op by op with a leading batch axis.
-        Geometry transforms that are not batch-invariant (the pose
-        matmul, ``locate_points`` with its per-lane s-window) run
-        per-lane into views of the stacked buffers; everything after is
-        elementwise/broadcast math, which numpy evaluates identically
-        for ``(N,)`` and ``(B, N)`` operands — that is what keeps lanes
-        bit-identical to serial renders.
+        Each pixel carries one colour channel (the RGGB Bayer pattern
+        when *channel* is ``None``, else that channel everywhere).  The
+        geometry transforms that are not batch-invariant (the pose
+        matmul, ``locate_points`` with its per-lane s-window) run per
+        lane into views of the stacked buffers; everything after is
+        elementwise math over ``(B, N)`` operands, which numpy evaluates
+        identically for any B.  The marking field runs only on pixels
+        within reach of a marking centreline; everywhere else its
+        coverage is exactly 0, which adds ``+0.0`` to the albedo and
+        leaves the retroreflection factor at exactly 1.
         """
         cam = self.camera
         opts = self.options
-        height, width = cam.height, cam.width
         batch = len(poses)
         n_pts = self._local.shape[0]
+        plan = self._plan(channel)
+        gain, tint, sky = self._photometry_planes(photometry, channel)
 
         # 1. ground pixels -> world -> road coordinates (per lane)
         world = self._scratch.get("world-batch", (batch, n_pts, 2))
@@ -305,12 +321,9 @@ class RoadSceneRenderer:
             np.matmul(self._local, rot.T, out=world[lane])
             world[lane] += pose.position().astype(np.float32)
             window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
-            s_lane, d_lane, on_lane = self.track.locate_points(
+            s_pt[lane], d_pt[lane], on_track[lane] = self.track.locate_points(
                 world[lane], window
             )
-            s_pt[lane] = s_lane
-            d_pt[lane] = d_lane
-            on_track[lane] = on_lane
         s_pt = np.where(on_track, s_pt, np.float32(0.0))
         d_pt = np.where(on_track, d_pt, np.float32(1e6))  # far off-road
 
@@ -319,63 +332,63 @@ class RoadSceneRenderer:
         on_road = (d_pt >= -(half + opts.right_shoulder)) & (
             d_pt <= half + opts.adjacent_lane_width
         )
-        albedo = np.where(
-            on_road[..., None],
-            ROAD_ALBEDO[None, :],
-            SHOULDER_ALBEDO[None, :],
-        )
+        albedo = np.where(on_road, plan.road, plan.shoulder)
         texture = np.float32(opts.texture_amplitude) * _position_hash(s_pt, d_pt)
-        albedo *= np.float32(1.0) + texture[..., None]
+        albedo *= np.float32(1.0) + texture
 
-        # 3. lane markings
+        # 3. lane markings, on the pixels within reach of one
+        near = np.abs(np.abs(d_pt) - np.float32(half)) < self._reach
+        flat = np.flatnonzero(near)
+        pix = flat % n_pts
+        s_near = s_pt.ravel()[flat]
+        d_near = d_pt.ravel()[flat]
+        lat_fp = self._lat_fp[pix]
+        fwd_fp = self._fwd_fp[pix]
         seg_idx = (
-            np.searchsorted(self._segment_tables[0], s_pt, side="right") - 1
+            np.searchsorted(self._segment_tables[0], s_near, side="right") - 1
         ).clip(0, len(self.track.segments) - 1)
         form_code = self._segment_tables[1][seg_idx]
         color_code = self._segment_tables[2][seg_idx]
 
         left_cov = self._marking_coverage(
-            d_pt - half, s_pt, form_code, self._lat_fp, self._fwd_fp
+            d_near - half, s_near, form_code, lat_fp, fwd_fp
         )
         right_cov = self._marking_coverage(
-            d_pt + half,
-            s_pt,
+            d_near + half,
+            s_near,
             np.full_like(form_code, _FORM_CODE[LaneForm.DOTTED]),
-            self._lat_fp,
-            self._fwd_fp,
+            lat_fp,
+            fwd_fp,
         )
         left_color = np.where(
-            color_code[..., None] == _COLOR_CODE[LaneColor.YELLOW],
-            YELLOW_ALBEDO[None, :],
-            WHITE_ALBEDO[None, :],
+            color_code == _COLOR_CODE[LaneColor.YELLOW],
+            plan.yellow[pix],
+            plan.white[pix],
         )
-        albedo += left_cov[..., None] * (left_color - albedo)
-        albedo += right_cov[..., None] * (WHITE_ALBEDO[None, :] - albedo)
+        marked = albedo.ravel()[flat]
+        marked += left_cov * (left_color - marked)
+        marked += right_cov * (plan.white[pix] - marked)
 
-        # 4. photometry — shared across the group, so the (N,) illum
-        # profile broadcasts over lanes exactly as in the serial path.
-        tint, sky = self._photometry_constants(photometry)
+        # 4. photometry: exposure, headlight falloff, tint, ambient.
+        # Lane paint is retroreflective (glass beads): under headlight
+        # illumination the markings return extra light to the camera.
+        albedo *= gain
         if np.isfinite(photometry.headlight_falloff):
-            illum = np.float32(photometry.exposure) * (
-                np.float32(0.25)
-                + np.float32(0.75)
-                * np.exp(-self._fwd / np.float32(photometry.headlight_falloff))
-            )
             marking_cov = np.maximum(left_cov, right_cov)
             retro = np.float32(1.0) + np.float32(RETROREFLECTIVE_GAIN) * marking_cov
-            albedo *= (illum * retro)[..., None]
+            marked *= gain[pix] * retro
         else:
-            albedo *= np.float32(photometry.exposure)
+            marked *= gain[pix]
+        albedo.ravel()[flat] = marked
         albedo *= tint
         albedo += np.float32(photometry.ambient)
-        radiance = albedo
+        np.clip(albedo, 0.0, 1.0, out=albedo)
 
         # 5. scatter into the frames; sky everywhere else
-        frame = np.empty((batch, height * width, 3), dtype=np.float32)
+        frame = np.empty((batch, cam.height * cam.width), dtype=np.float32)
         frame[:] = sky
-        frame[:, self._vidx] = radiance
-        np.clip(frame, 0.0, 1.0, out=frame)
-        return frame.reshape(batch, height, width, 3)
+        frame[:, self._vidx] = albedo
+        return frame.reshape(batch, cam.height, cam.width)
 
     @staticmethod
     def _marking_coverage(
@@ -428,10 +441,10 @@ def render_raw_batch(
     options (the batched driver groups lanes by exactly that key); the
     leading renderer's precomputed geometry then serves every lane.
     Lanes are sub-grouped by scene photometry so each group renders
-    through one :meth:`RoadSceneRenderer._render_batch` call.  Sensor
-    noise stays strictly per-lane: each lane draws from its own
-    ``camera-noise`` stream, one draw per frame, exactly as in
-    :meth:`RoadSceneRenderer.render_raw`.
+    through one Bayer-plane kernel call.  Sensor noise stays strictly
+    per-lane: each lane draws from its own ``camera-noise`` stream, one
+    draw per frame.  :meth:`RoadSceneRenderer.render_raw` is the
+    one-lane case.
 
     Returns the stacked ``(B, H, W)`` Bayer planes in lane order.
     """
@@ -445,27 +458,19 @@ def render_raw_batch(
                 "render_raw_batch lanes must share track, camera and options"
             )
 
-    # Per-lane situate: same frenet + situation lookup as render_raw.
-    s_vehicles: List[float] = []
-    photometries: List[ScenePhotometry] = []
-    for renderer, pose, scene in zip(renderers, poses, scenes):
-        s_vehicle, _ = renderer.track.frenet(pose.x, pose.y)
-        if scene is None:
-            scene = renderer.track.situation_at(s_vehicle).scene
-        s_vehicles.append(s_vehicle)
-        photometries.append(photometry_for(scene))
-
     groups: dict = {}
-    for lane, photometry in enumerate(photometries):
+    s_vehicles: List[float] = []
+    for lane, (renderer, pose, scene) in enumerate(zip(renderers, poses, scenes)):
+        s_vehicle, photometry = renderer._situate(pose, scene)
+        s_vehicles.append(s_vehicle)
         groups.setdefault(photometry, []).append(lane)
 
     cam = lead.camera
     out = np.empty((n_lanes, cam.height, cam.width), dtype=np.float32)
     for photometry, lanes in groups.items():
-        rgb = lead._render_batch(
-            [poses[i] for i in lanes], photometry, [s_vehicles[i] for i in lanes]
+        raw = lead._render_planes(
+            [poses[i] for i in lanes], [s_vehicles[i] for i in lanes], photometry
         )
-        raw = mosaic_batch(rgb)
         for j, i in enumerate(lanes):
             renderer = renderers[i]
             if renderer.options.noise:

@@ -1,9 +1,10 @@
 """Camera sensor model: Bayer mosaic and noise injection.
 
 The paper's ISP consumes RAW frames in the Bayer domain (Fig. 3a).  This
-module turns the renderer's linear RGB radiance into a single-channel
-RGGB Bayer mosaic with signal-dependent sensor noise, which
-:mod:`repro.isp` then reconstructs.
+module defines the single-channel RGGB Bayer mosaic of linear RGB
+radiance (the renderer writes that plane directly; :func:`mosaic` is
+its reference on a full RGB frame) and the signal-dependent sensor
+noise added to it, which :mod:`repro.isp` then reconstructs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ __all__ = [
     "BAYER_PATTERN",
     "bayer_channel_masks",
     "mosaic",
-    "mosaic_batch",
     "add_sensor_noise",
     "blackout_frame",
     "band_frame",
@@ -48,23 +48,6 @@ def mosaic(rgb: np.ndarray) -> np.ndarray:
     raw[0::2, 1::2] = rgb[0::2, 1::2, 1]  # G
     raw[1::2, 0::2] = rgb[1::2, 0::2, 1]  # G
     raw[1::2, 1::2] = rgb[1::2, 1::2, 2]  # B
-    return raw
-
-
-def mosaic_batch(rgb: np.ndarray) -> np.ndarray:
-    """Subsample a stacked ``(B, H, W, 3)`` RGB batch to RGGB planes.
-
-    Pure strided assignment over the leading batch axis — each lane's
-    plane is bitwise identical to :func:`mosaic` of that lane alone.
-    """
-    if rgb.ndim != 4 or rgb.shape[3] != 3:
-        raise ValueError(f"expected (B, H, W, 3) RGB batch, got shape {rgb.shape}")
-    batch, height, width = rgb.shape[:3]
-    raw = np.empty((batch, height, width), dtype=rgb.dtype)
-    raw[:, 0::2, 0::2] = rgb[:, 0::2, 0::2, 0]  # R
-    raw[:, 0::2, 1::2] = rgb[:, 0::2, 1::2, 1]  # G
-    raw[:, 1::2, 0::2] = rgb[:, 1::2, 0::2, 1]  # G
-    raw[:, 1::2, 1::2] = rgb[:, 1::2, 1::2, 2]  # B
     return raw
 
 
