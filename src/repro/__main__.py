@@ -178,14 +178,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     store = RolloutCache(args.dir)
     if args.clear:
         removed = store.clear()
-        print(f"removed {removed} cached rollouts from {store.root}")
+        print(f"removed {removed} entries from {store.root}")
         return 0
     if args.verify:
         checked, problems = store.verify()
         for problem in problems:
             print(problem, file=sys.stderr)
         verdict = "OK" if not problems else f"{len(problems)} problem(s)"
-        print(f"verified {checked} cached rollouts under {store.root}: {verdict}")
+        print(f"verified {checked} entries under {store.root}: {verdict}")
         return 2 if problems else 0
     entries = store.entries()
     print(f"store    {store.root}")
@@ -618,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--stats", action="store_true",
                       help="print store location and size (the default)")
     mode.add_argument("--clear", action="store_true",
-                      help="delete every cached rollout")
+                      help="delete every entry under the store root "
+                           "(rollouts and prescreen vectors)")
     mode.add_argument("--verify", action="store_true",
                       help="re-hash every entry against its embedded key "
                            "document; exit 2 on any mismatch")

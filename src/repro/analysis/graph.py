@@ -83,7 +83,8 @@ _RNG_EXEMPT_SUFFIX = "utils/rng.py"
 #: ARE the literals) and the recorder that validates against it.
 _TELEMETRY_EXEMPT_SUFFIXES = ("telemetry/events.py", "telemetry/recorder.py")
 
-#: Files allowed to call ``config_hash`` (CAC001): its home module, the
+#: Files allowed to call ``config_hash`` (CAC001): its home module (the
+#: store itself, which maps every key document to its entry path), the
 #: manifest builder (whose hash IS the run-identity field), and the
 #: rollout key module — the single sanctioned key constructor.
 _CACHE_KEY_EXEMPT_SUFFIXES = (

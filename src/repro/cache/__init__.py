@@ -9,8 +9,12 @@ cycle records, and the manifest minus its wall-clock bounds.
 
 - :mod:`repro.cache.keys` — canonical key documents and hashing (the
   only legal place to build rollout keys; lint rule ``CAC001``);
-- :mod:`repro.cache.store` — the sharded atomic store with LRU bound,
-  hit/miss counters and ``verify``.
+- :mod:`repro.cache.store` — the sharded rollout store: a subclass of
+  :class:`repro.utils.cache.ArtifactCache` (which owns the on-disk
+  entry mechanics) adding the LRU bound, hit/miss counters and
+  ``verify``.  The sweep's prescreen vectors live in the same root's
+  ``prescreen/`` namespace, so the bound, ``clear`` and ``verify``
+  cover them too.
 
 Consumers: ``repro.simulate(cache=...)``, the batch engine's per-lane
 lookup, ``core.characterization`` (workers read through, only the

@@ -8,23 +8,24 @@ writes — arrays, cycle records and the telemetry manifest — plus an
 embedded copy of the key document, so :meth:`RolloutCache.verify` can
 re-hash any entry without knowing how it was produced.
 
-Writes are atomic (``mkstemp`` + :func:`os.replace`, the
-``ArtifactCache`` pattern), so concurrent writers of one key each
-replace the entry wholesale and readers never observe a torn file.  A
-corrupt or truncated entry behaves like a miss.  Loads refresh the
-entry's mtime, and stores evict least-recently-used entries past the
-size bound (``REPRO_CACHE_MAX_MB``, default 4 GiB).
+The entry mechanics are :class:`repro.utils.cache.ArtifactCache`'s,
+which this store subclasses: writes go through
+:func:`~repro.utils.cache.atomic_write`, so concurrent writers of one
+key each replace the entry wholesale and readers never observe a torn
+file; a corrupt or truncated entry behaves like a miss.  Loads refresh
+the entry's mtime, and stores evict least-recently-used entries past
+the size bound (``REPRO_CACHE_MAX_MB``, default 4 GiB).  The bound,
+``clear`` and ``verify`` cover every entry under the root, including
+namespaces such as the characterization sweep's ``prescreen/``.
 
 ``REPRO_NO_CACHE=1`` disables every store, and ``REPRO_CACHE_DIR``
-relocates the default root, exactly as for ``ArtifactCache``.
+relocates the default root.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -32,7 +33,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.keys import rollout_key
-from repro.utils.cache import _STALE_TMP_AGE_S, default_cache_dir
+from repro.utils.cache import (
+    _KEY_MEMBER,
+    _LOAD_ERRORS,
+    ArtifactCache,
+    default_cache_dir,
+)
 
 __all__ = [
     "CacheStats",
@@ -86,12 +92,13 @@ def global_stats() -> CacheStats:
     return _GLOBAL_STATS
 
 
-#: npz members np.load may fail on for a corrupt/truncated entry.
-_LOAD_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile)
-
-
-class RolloutCache:
+class RolloutCache(ArtifactCache):
     """Content-addressed store of :class:`~repro.hil.record.HilResult`.
+
+    The entry mechanics (paths, load errors as misses, atomic writes,
+    temp-file sweep, ``clear``, the entry walk) are
+    :class:`~repro.utils.cache.ArtifactCache`'s; this class adds the
+    rollout payload, the counters, the LRU bound and :meth:`verify`.
 
     Parameters
     ----------
@@ -108,6 +115,8 @@ class RolloutCache:
         authority on sweep-wide counters for any worker count.
     """
 
+    _shards = 2
+
     def __init__(
         self,
         root: Union[str, Path, None] = None,
@@ -116,40 +125,18 @@ class RolloutCache:
         enabled: Optional[bool] = None,
         count_global: bool = True,
     ):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "0") != "1"
+        super().__init__(
+            root if root is not None else default_cache_dir() / "rollouts",
+            enabled=enabled,
+        )
         if max_bytes is None:
             env = os.environ.get("REPRO_CACHE_MAX_MB")
             max_bytes = (
                 int(float(env) * 1024**2) if env else _DEFAULT_MAX_BYTES
             )
-        self.root = Path(root) if root is not None else default_cache_dir() / "rollouts"
         self.max_bytes = max_bytes
-        self.enabled = enabled
         self.stats = CacheStats()
         self._count_global = count_global
-
-    # -- key -> path -----------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        """Sharded entry path for a content address."""
-        return self.root / key[:2] / key[2:4] / f"{key}.npz"
-
-    def entries(self) -> List[Path]:
-        """Every stored entry, sorted by path (stable for tests/CLI)."""
-        if not self.root.exists():
-            return []
-        return sorted(self.root.glob("*/*/*.npz"))
-
-    def total_bytes(self) -> int:
-        """Bytes currently held by the store (0 if the root is absent)."""
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
 
     # -- stats -----------------------------------------------------------
 
@@ -185,20 +172,8 @@ class RolloutCache:
             return None
         from repro.hil.record import HilResult
 
-        path = self.path_for(rollout_key(document))
-        if not path.exists():
-            self._count("misses")
-            return None
-        try:
-            result = HilResult.load(path)
-        except _LOAD_ERRORS:
-            self._count("misses")
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        self._count("hits")
+        result = self._get(document, HilResult.load)
+        self._count("misses" if result is None else "hits")
         return result
 
     def store(self, document: Optional[Dict[str, object]], result) -> Optional[Path]:
@@ -210,15 +185,8 @@ class RolloutCache:
         """
         if not self.enabled or document is None:
             return None
-        key = rollout_key(document)
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._sweep_tmp(max_age_s=_STALE_TMP_AGE_S)
-        result.save(
-            path,
-            extra_json={
-                "cache_key_json": json.dumps(document, sort_keys=True)
-            },
+        path = self._put(
+            document, lambda target, extra: result.save(target, extra_json=extra)
         )
         self._count("stores")
         self._evict(protect=path)
@@ -253,45 +221,15 @@ class RolloutCache:
             self._count("evictions")
         return evicted
 
-    def _sweep_tmp(self, max_age_s: float) -> int:
-        """Unlink stale ``*.npz.tmp`` files anywhere under the root.
-
-        Same contract as ``ArtifactCache._sweep_tmp``, extended over the
-        shard directories: young temp files may belong to a concurrent
-        writer mid-flight and are left alone.
-        """
-        if not self.root.exists():
-            return 0
-        now = time.time()
-        swept = 0
-        for tmp in self.root.glob("**/*.npz.tmp"):
-            try:
-                if now - tmp.stat().st_mtime >= max_age_s:
-                    tmp.unlink()
-                    swept += 1
-            except OSError:
-                continue
-        return swept
-
-    def clear(self) -> int:
-        """Delete every entry (and stale temp files); return the count."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-        self._sweep_tmp(max_age_s=0.0)
-        return removed
-
     def verify(self) -> Tuple[int, List[str]]:
-        """Re-hash every entry against its embedded key document.
+        """Re-hash every entry under the root against its embedded key.
 
         Returns ``(checked, problems)``: an entry is a problem when it
         is unreadable, lacks an embedded key, re-hashes to a different
         address than its file name, or sits in the wrong shard.  An
         empty ``problems`` list means the store is self-consistent.
+        Entries of a nested namespace (``prescreen/``) are flat, so
+        only their file name is checked against the key.
         """
         problems: List[str] = []
         checked = 0
@@ -299,18 +237,19 @@ class RolloutCache:
             checked += 1
             try:
                 with np.load(path, allow_pickle=False) as data:
-                    if "cache_key_json" not in data.files:
+                    if _KEY_MEMBER not in data.files:
                         problems.append(f"{path}: no embedded cache key")
                         continue
-                    document = json.loads(str(data["cache_key_json"][()]))
+                    document = json.loads(str(data[_KEY_MEMBER][()]))
             except _LOAD_ERRORS as exc:
                 problems.append(f"{path}: unreadable ({exc})")
                 continue
             key = rollout_key(document)
-            if self.path_for(key) != path:
+            sharded = len(path.relative_to(self.root).parts) == self._shards + 1
+            expected = self.path_for(key) if sharded else path.with_name(f"{key}.npz")
+            if expected != path:
                 problems.append(
-                    f"{path}: content hashes to {key} "
-                    f"(expected at {self.path_for(key)})"
+                    f"{path}: content hashes to {key} (expected at {expected})"
                 )
         return checked, problems
 

@@ -21,7 +21,7 @@ from repro.classifiers.dataset import (
 from repro.classifiers.models import SituationClassifier, build_tiny_resnet
 from repro.nn.serialize import load_state, model_state
 from repro.nn.trainer import TrainConfig, Trainer
-from repro.utils.cache import ArtifactCache
+from repro.utils.cache import ArtifactCache, default_cache_dir
 
 __all__ = ["TrainedClassifier", "train_classifier", "train_all_classifiers"]
 
@@ -67,7 +67,7 @@ def train_classifier(
     # full ResNet-18 capacity.
     widths = {"road": (12, 24), "lane": (8, 16), "scene": (8, 16)}[name]
 
-    cache = ArtifactCache("classifiers", enabled=use_cache)
+    cache = ArtifactCache(default_cache_dir() / "classifiers", enabled=use_cache)
     cache_key = {
         "dataset": dataset_config.to_config(),
         "train": {

@@ -40,8 +40,8 @@ Every closed-loop rollout reads through the content-addressed rollout
 store (:mod:`repro.cache`) when caching is on: pool workers look
 entries up (and report hits/misses home), but only the parent process
 writes fresh results back — the write path never fans out.  Prescreen
-bad-rate vectors are small derived artifacts and use a plain
-``ArtifactCache`` namespace, parent-side only.
+bad-rate vectors are small derived artifacts kept in the same store's
+``prescreen/`` namespace (a flat ``ArtifactCache``), parent-side only.
 """
 
 from __future__ import annotations
@@ -389,34 +389,6 @@ def _prescreen_key(
     }
 
 
-def _load_prescreen(
-    cache: ArtifactCache, situation: Situation, config: CharacterizationConfig
-) -> Optional[List[Tuple[str, float]]]:
-    """The cached (isp, bad_rate) list for a situation, or ``None``."""
-    cached = cache.load(_prescreen_key(situation, config))
-    if cached is None or "rates" not in cached:
-        return None
-    rates = cached["rates"]
-    if len(rates) != len(config.isp_names):
-        return None
-    return [
-        (isp, float(rate)) for isp, rate in zip(config.isp_names, rates)
-    ]
-
-
-def _store_prescreen(
-    cache: ArtifactCache,
-    situation: Situation,
-    config: CharacterizationConfig,
-    prescreen: Sequence[Tuple[str, float]],
-) -> None:
-    """Persist a situation's prescreen bad-rate vector (parent only)."""
-    cache.store(
-        _prescreen_key(situation, config),
-        {"rates": np.array([rate for _, rate in prescreen], dtype=float)},
-    )
-
-
 def _prescreen(
     situations: Sequence[Situation],
     config: CharacterizationConfig,
@@ -448,6 +420,40 @@ def _prescreen(
     return prescreens
 
 
+def _cached_prescreens(
+    situations: Sequence[Situation],
+    config: CharacterizationConfig,
+    n_jobs: int,
+    batch: Union[int, str, None],
+    store: Optional[RolloutCache],
+) -> Dict[Situation, List[Tuple[str, float]]]:
+    """Each situation's prescreen, read through *store*'s ``prescreen/``.
+
+    Situations without a cached bad-rate vector are screened together in
+    one flat grid and written back (parent only).  float64 round-trips
+    exactly, so cached and fresh prescreens select the same ISP
+    candidates.  ``store=None`` (caching off) screens every situation.
+    """
+    namespace = store and ArtifactCache(store.root / "prescreen", enabled=True)
+    prescreens: Dict[Situation, List[Tuple[str, float]]] = {}
+    for situation in situations:
+        cached = namespace and namespace.load(_prescreen_key(situation, config))
+        rates = (cached or {}).get("rates")
+        if rates is not None and len(rates) == len(config.isp_names):
+            prescreens[situation] = list(zip(config.isp_names, map(float, rates)))
+    pending = [s for s in situations if s not in prescreens]
+    if pending:
+        fresh = _prescreen(pending, config, n_jobs, batch)
+        for situation, prescreen in zip(pending, fresh):
+            prescreens[situation] = prescreen
+            if namespace is not None:
+                rates = np.array([rate for _, rate in prescreen], dtype=float)
+                namespace.store(
+                    _prescreen_key(situation, config), {"rates": rates}
+                )
+    return prescreens
+
+
 def prescreen_isp(
     situation: Situation,
     config: CharacterizationConfig,
@@ -462,17 +468,13 @@ def prescreen_isp(
     groups up to that many ISP configs per worker into one lock-step
     evaluation sharing the rendered sequence (bit-identical per lane;
     a failed chunk marks all its lanes undetectable).  ``use_cache``
-    reuses the per-situation bad-rate vector from the artifact cache
-    (float64 round-trips exactly, so cached and fresh prescreens select
-    the same ISP candidates).
+    reuses the per-situation bad-rate vector from the ``prescreen/``
+    namespace of the default rollout store.
     """
-    cache = ArtifactCache("prescreen", enabled=use_cache)
-    cached = _load_prescreen(cache, situation, config)
-    if cached is not None:
-        return cached
-    (prescreen,) = _prescreen([situation], config, resolve_jobs(jobs), batch)
-    _store_prescreen(cache, situation, config, prescreen)
-    return prescreen
+    store = resolve_cache("auto" if use_cache else None)
+    return _cached_prescreens(
+        [situation], config, resolve_jobs(jobs), batch, store
+    )[situation]
 
 
 def _select_isp_candidates(
@@ -553,10 +555,9 @@ def characterize_situation(
     """
     n_jobs = resolve_jobs(jobs)
     store = resolve_cache(cache)
-    prescreen = prescreen_isp(
-        situation, config, jobs=n_jobs, batch=batch,
-        use_cache=store is not None,
-    )
+    prescreen = _cached_prescreens(
+        [situation], config, n_jobs, batch, store
+    )[situation]
     isp_candidates = _select_isp_candidates(prescreen, config)
     tasks = _knob_tasks(
         situation,
@@ -622,7 +623,8 @@ def characterize(
     rollout reads through the content-addressed rollout store
     (:mod:`repro.cache`) — workers look entries up, only this parent
     process writes fresh results back — and each situation's prescreen
-    bad-rate vector is reused from the artifact cache.  A warm sweep
+    bad-rate vector is reused from the same store's ``prescreen/``
+    namespace.  A warm sweep
     therefore recomputes nothing, and returns the same table because
     cache hits are byte-equal to the reruns they replace.  ``cache``
     overrides the store selection (``"auto"``/``"off"``/explicit root);
@@ -632,24 +634,11 @@ def characterize(
     if cache is None:
         cache = "auto" if use_cache else None
     store = resolve_cache(cache)
-    pre_cache = ArtifactCache("prescreen", enabled=store is not None)
     table: Dict[Situation, KnobSetting] = {}
 
     # Phase 1: flat prescreen grid over the situations without a cached
     # bad-rate vector.
-    prescreens: Dict[Situation, List[Tuple[str, float]]] = {}
-    pending: List[Situation] = []
-    for situation in situations:
-        cached = _load_prescreen(pre_cache, situation, config)
-        if cached is not None:
-            prescreens[situation] = cached
-        else:
-            pending.append(situation)
-    if pending:
-        fresh = _prescreen(pending, config, n_jobs, batch)
-        for situation, prescreen in zip(pending, fresh):
-            prescreens[situation] = prescreen
-            _store_prescreen(pre_cache, situation, config, prescreen)
+    prescreens = _cached_prescreens(situations, config, n_jobs, batch, store)
     candidates: Dict[Situation, List[str]] = {
         situation: _select_isp_candidates(prescreens[situation], config)
         for situation in situations

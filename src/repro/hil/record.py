@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -13,6 +11,7 @@ import numpy as np
 
 from repro.metrics.qoc import mae
 from repro.sim.track import Track
+from repro.utils.cache import atomic_write
 from repro.utils.profiling import StageStats, format_stage_table
 
 __all__ = ["CycleRecord", "HilResult", "SectorQoC"]
@@ -135,11 +134,11 @@ class HilResult:
         """Persist the trace to ``.npz`` (cycle records as JSON inside).
 
         Useful for offline analysis of long runs without re-simulating.
-        The write is atomic (temp file + :func:`os.replace`, the
-        ``ArtifactCache.store`` pattern), so a crash mid-write never
-        leaves a corrupt file at the returned path — which is always
-        exactly the file written, with the ``.npz`` suffix applied up
-        front rather than appended behind our back by ``np.savez``.
+        The write is atomic (:func:`repro.utils.cache.atomic_write`),
+        so a crash mid-write never leaves a corrupt file at the
+        returned path — which is always exactly the file written, with
+        the ``.npz`` suffix applied up front rather than appended
+        behind our back by ``np.savez``.
 
         ``extra_json`` attaches additional JSON-string members to the
         archive (e.g. the cache-key document :mod:`repro.cache` embeds
@@ -171,20 +170,11 @@ class HilResult:
             if name in payload:
                 raise ValueError(f"extra_json key shadows a trace member: {name!r}")
             payload[name] = np.array(blob)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(target.parent), suffix=".npz.tmp"
-        )
-        try:
-            # Writing to the open handle (not a path) keeps np.savez
-            # from appending its own suffix, so `target` provably names
-            # the bytes on disk.
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **payload)
-            os.replace(tmp_name, target)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        # Writing to the open handle (not a path) keeps np.savez from
+        # appending its own suffix, so `target` provably names the
+        # bytes on disk.
+        with atomic_write(target) as handle:
+            np.savez(handle, **payload)
         return target
 
     @classmethod

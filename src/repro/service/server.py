@@ -36,7 +36,6 @@ import json
 import logging
 import os
 import signal
-import tempfile
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -54,6 +53,7 @@ from repro.service.errors import (
     UnknownOperationError,
 )
 from repro.telemetry.metrics import MetricsRegistry
+from repro.utils.cache import atomic_write
 from repro.utils.parallel import get_executor, resolve_jobs
 
 __all__ = ["SensingServer", "ServerThread", "serve_blocking"]
@@ -330,19 +330,9 @@ class SensingServer:
             "gauges": self.metrics.gauges(),
             "histograms": self.metrics.histogram_summaries(),
         }
-        directory = os.path.dirname(os.path.abspath(self.stats_path))
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp_path, self.stats_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except FileNotFoundError:
-                pass
-            raise
+        with atomic_write(self.stats_path, "w") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     # -- connection handling ------------------------------------------------
 

@@ -5,15 +5,14 @@ A trace file is one JSON object per line: the first line is the
 line one emitted event.  Lines are serialized with sorted keys and the
 artifact-cache JSON coercions, so two runs of the same experiment
 produce byte-identical event lines (the manifest line alone carries the
-volatile wall-clock bounds).  Writes are atomic — ``tempfile.mkstemp``
-plus ``os.replace`` — matching ``ArtifactCache.store``.
+volatile wall-clock bounds).  Writes are atomic
+(:func:`repro.utils.cache.atomic_write`), like every cache entry.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
@@ -21,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro.telemetry.events import RUN_MANIFEST, SCHEMA_VERSION
-from repro.utils.cache import _jsonify
+from repro.utils.cache import _jsonify, atomic_write
 
 __all__ = ["RunTrace", "write_trace", "load_trace", "diff_traces"]
 
@@ -63,15 +62,14 @@ def _dump_line(record: Dict[str, object]) -> str:
 
 
 def write_trace(
-    path: Union[str, Path],
+    path: Union[str, os.PathLike],
     manifest: Optional[Dict[str, object]],
     events: Iterable[Dict[str, object]],
 ) -> Path:
     """Atomically write a manifest + event stream as JSONL; returns the path.
 
-    The file appears complete or not at all: content goes to a
-    temporary file in the target directory first and is renamed over
-    *path* in one :func:`os.replace`.
+    The file appears complete or not at all
+    (:func:`repro.utils.cache.atomic_write`).
     """
     target = Path(path)
     lines = [
@@ -84,16 +82,8 @@ def write_trace(
         )
     ]
     lines.extend(_dump_line(record) for record in events)
-    directory = target.parent if str(target.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(dir=str(directory), suffix=".jsonl.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(tmp_name, target)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    with atomic_write(target, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
     return target
 
 

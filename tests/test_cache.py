@@ -5,7 +5,8 @@ Unit layer: sharded layout, LRU eviction, corruption-as-miss, the
 Integration layer: the multi-process stress (no torn files under
 concurrent writers), the parent-write-back guarantee (a warm sweep
 recomputes nothing), the stale ``.tmp`` sweep, the ``python -m repro
-cache`` maintenance CLI, and the ``$REPRO_BATCH`` config-hash
+cache`` maintenance CLI over rollouts and the ``prescreen/`` namespace,
+and the ``$REPRO_BATCH`` config-hash
 regression — batching is an execution knob, never part of a rollout's
 identity.
 """
@@ -31,7 +32,11 @@ from repro.cache import (
     rollout_key,
     rollout_key_document,
 )
-from repro.core.characterization import CharacterizationConfig, characterize_situation
+from repro.core.characterization import (
+    CharacterizationConfig,
+    characterize,
+    characterize_situation,
+)
 from repro.core.situation import situation_by_index
 from repro.hil.record import CycleRecord, HilResult
 
@@ -313,6 +318,41 @@ class TestCacheCli:
         assert main(["cache", "--clear", "--dir", str(root)]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert RolloutCache(root).entries() == []
+
+
+class TestPrescreenNamespace:
+    def test_explicit_store_holds_every_entry_and_clear_empties_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        env_root = tmp_path / "default"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(env_root))
+        root = tmp_path / "store"
+        characterize([situation_by_index(1)], TINY, cache=root)
+        assert not env_root.exists() or list(env_root.rglob("*")) == []
+        (prescreen,) = (root / "prescreen").glob("*.npz")
+        entries = RolloutCache(root).entries()
+        assert prescreen in entries and len(entries) > 1
+        assert main(["cache", "--dir", str(root)]) == 0
+        assert f"entries  {len(entries)}" in capsys.readouterr().out
+        assert main(["cache", "--verify", "--dir", str(root)]) == 0
+        assert main(["cache", "--clear", "--dir", str(root)]) == 0
+        assert f"removed {len(entries)}" in capsys.readouterr().out
+        assert list(root.rglob("*.npz")) == []
+
+    def test_truncated_prescreen_is_reported_then_recomputed(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "store"
+        situation = situation_by_index(1)
+        cold = characterize([situation], TINY, cache=root)
+        (prescreen,) = (root / "prescreen").glob("*.npz")
+        blob = prescreen.read_bytes()
+        prescreen.write_bytes(blob[: len(blob) // 2])
+        assert main(["cache", "--verify", "--dir", str(root)]) == 2
+        assert "unreadable" in capsys.readouterr().err
+        assert characterize([situation], TINY, cache=root) == cold
+        assert prescreen.read_bytes() == blob
+        assert main(["cache", "--verify", "--dir", str(root)]) == 0
 
 
 class TestBatchIndependentConfigHash:

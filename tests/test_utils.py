@@ -1,4 +1,4 @@
-"""Tests for repro.utils: rng derivation, validation, artifact cache."""
+"""Tests for repro.utils: rng derivation, validation, artifact cache, atomic writes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.cache import ArtifactCache, config_hash
+from repro.utils.cache import ArtifactCache, atomic_write, config_hash
 from repro.utils.rng import derive_rng, seed_everything, stream_seed
 from repro.utils.validation import (
     check_finite,
@@ -75,7 +75,7 @@ class TestValidation:
 class TestArtifactCache:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=True)
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
         config = {"a": 1, "b": [1, 2]}
         assert cache.load(config) is None
         cache.store(config, {"x": np.arange(4)})
@@ -84,29 +84,38 @@ class TestArtifactCache:
 
     def test_different_config_misses(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=True)
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
         cache.store({"a": 1}, {"x": np.zeros(1)})
         assert cache.load({"a": 2}) is None
 
     def test_disabled_cache_never_hits(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=False)
+        cache = ArtifactCache(tmp_path / "unit", enabled=False)
         cache.store({"a": 1}, {"x": np.zeros(1)})
         assert cache.load({"a": 1}) is None
 
     def test_clear_removes_entries(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=True)
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
         cache.store({"a": 1}, {"x": np.zeros(1)})
         assert cache.clear() == 1
         assert cache.load({"a": 1}) is None
 
     def test_corrupt_entry_behaves_as_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=True)
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
         path = cache.store({"a": 1}, {"x": np.zeros(1)})
         path.write_bytes(b"not an npz")
         assert cache.load({"a": 1}) is None
+
+    def test_truncated_entry_is_a_miss_and_recomputed(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
+        path = cache.store({"a": 1}, {"x": np.arange(256.0)})
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        assert cache.load({"a": 1}) is None
+        cache.store({"a": 1}, {"x": np.arange(256.0)})
+        np.testing.assert_array_equal(cache.load({"a": 1})["x"], np.arange(256.0))
 
     def test_config_hash_order_independent(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
@@ -116,7 +125,7 @@ class TestArtifactCache:
 
     def test_clear_sweeps_orphaned_tmp_files(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=True)
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
         cache.store({"a": 1}, {"x": np.zeros(1)})
         orphan = cache.root / "deadbeef.npz.tmp"
         orphan.write_bytes(b"partial write")
@@ -129,7 +138,7 @@ class TestArtifactCache:
         import os
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=True)
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
         cache.root.mkdir(parents=True, exist_ok=True)
         stale = cache.root / "stale.npz.tmp"
         stale.write_bytes(b"interrupted hours ago")
@@ -144,7 +153,7 @@ class TestArtifactCache:
         from concurrent.futures import ThreadPoolExecutor
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ArtifactCache("unit", enabled=True)
+        cache = ArtifactCache(tmp_path / "unit", enabled=True)
         config = {"a": 1}
         payloads = [np.full(64, float(i)) for i in range(8)]
 
@@ -157,3 +166,23 @@ class TestArtifactCache:
         assert list(cache.root.glob("*.npz.tmp")) == []
         loaded = cache.load(config)["x"]
         assert any(np.array_equal(loaded, arr) for arr in payloads)
+
+
+class TestAtomicWrite:
+    def test_success_replaces_the_target(self, tmp_path):
+        target = tmp_path / "stats.json"
+        target.write_text("old")
+        with atomic_write(target, "w") as handle:
+            handle.write("new")
+        assert target.read_text() == "new"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_raising_block_keeps_previous_bytes_and_no_tmp(self, tmp_path):
+        target = tmp_path / "entry.npz"
+        target.write_bytes(b"previous")
+        with pytest.raises(RuntimeError, match="disk full"):
+            with atomic_write(target) as handle:
+                handle.write(b"partial")
+                raise RuntimeError("disk full")
+        assert target.read_bytes() == b"previous"
+        assert list(tmp_path.iterdir()) == [target]
