@@ -837,7 +837,45 @@ class StreamCollisionRule(ProjectRule):
         return findings
 
 
-class TelemetryEventRule(ProjectRule):
+class RestrictedCallRule(ProjectRule):
+    """A call to :attr:`callee` outside the :attr:`exempt_suffixes` files.
+
+    Subclasses carry only the callee's bare name, whether just calls
+    with a string-literal first argument count, the exempt files and
+    the :attr:`message` template (formatted with ``dotted``, the call
+    as written, and ``literal``, that first argument).
+    """
+
+    callee = ""
+    literal_first_arg = False
+    exempt_suffixes: Tuple[str, ...] = ()
+    message = ""
+
+    def check(self, project: ProjectGraph, config) -> List[Finding]:
+        findings: List[Finding] = []
+        for name in sorted(project.modules):
+            info = project.modules[name]
+            if info.path.endswith(self.exempt_suffixes):
+                continue
+            for call in info.calls:
+                if call.dotted.rpartition(".")[2] != self.callee:
+                    continue
+                if self.literal_first_arg and call.arg0_literal is None:
+                    continue
+                findings.append(
+                    self.finding(
+                        info.path,
+                        call.line,
+                        call.col,
+                        self.message.format(
+                            dotted=call.dotted, literal=call.arg0_literal
+                        ),
+                    )
+                )
+        return findings
+
+
+class TelemetryEventRule(RestrictedCallRule):
     """OBS001: telemetry event emitted under a string literal name.
 
     ``TelemetryRecorder.emit`` validates event names against
@@ -858,32 +896,16 @@ class TelemetryEventRule(ProjectRule):
         "telemetry event emitted as a string literal; use the "
         "registered constants from repro.telemetry.events"
     )
-
-    def check(self, project: ProjectGraph, config) -> List[Finding]:
-        findings: List[Finding] = []
-        for name in sorted(project.modules):
-            info = project.modules[name]
-            if info.path.endswith(_TELEMETRY_EXEMPT_SUFFIXES):
-                continue
-            for call in info.calls:
-                if call.dotted.rpartition(".")[2] != "emit":
-                    continue
-                if call.arg0_literal is None:
-                    continue
-                findings.append(
-                    self.finding(
-                        info.path,
-                        call.line,
-                        call.col,
-                        f"{call.dotted}({call.arg0_literal!r}, ...) names "
-                        "the event with a string literal; import the "
-                        "constant from repro.telemetry.events instead",
-                    )
-                )
-        return findings
+    callee = "emit"
+    literal_first_arg = True
+    exempt_suffixes = _TELEMETRY_EXEMPT_SUFFIXES
+    message = (
+        "{dotted}({literal!r}, ...) names the event with a string "
+        "literal; import the constant from repro.telemetry.events instead"
+    )
 
 
-class CacheKeyConstructionRule(ProjectRule):
+class CacheKeyConstructionRule(RestrictedCallRule):
     """CAC001: rollout cache keys built outside the sanctioned modules.
 
     The whole point of a content-addressed store is that one rollout
@@ -903,27 +925,12 @@ class CacheKeyConstructionRule(ProjectRule):
         "cache keys must be built via repro.cache.keys; ad-hoc "
         "config_hash calls split the content-addressed store"
     )
-
-    def check(self, project: ProjectGraph, config) -> List[Finding]:
-        findings: List[Finding] = []
-        for name in sorted(project.modules):
-            info = project.modules[name]
-            if info.path.endswith(_CACHE_KEY_EXEMPT_SUFFIXES):
-                continue
-            for call in info.calls:
-                if call.dotted.rpartition(".")[2] != "config_hash":
-                    continue
-                findings.append(
-                    self.finding(
-                        info.path,
-                        call.line,
-                        call.col,
-                        f"{call.dotted}(...) builds a cache key outside "
-                        "repro.cache.keys; use rollout_key_document / "
-                        "rollout_key so one rollout has one address",
-                    )
-                )
-        return findings
+    callee = "config_hash"
+    exempt_suffixes = _CACHE_KEY_EXEMPT_SUFFIXES
+    message = (
+        "{dotted}(...) builds a cache key outside repro.cache.keys; use "
+        "rollout_key_document / rollout_key so one rollout has one address"
+    )
 
 
 #: All project rule classes in id order; instantiated per run.

@@ -68,7 +68,6 @@ from repro.sim.renderer import render_raw_batch
 from repro.sim.track import Track
 from repro.sim.vehicle import Vehicle, VehicleState
 from repro.telemetry import build_manifest
-from repro.telemetry import recorder as telemetry
 from repro.utils import profiling
 from repro.utils.profiling import profile
 
@@ -112,7 +111,7 @@ class _Lane:
         vehicle, n_steps = engine._start_run(start_s)
         return cls(engine=engine, vehicle=vehicle, n_steps=n_steps, s_hint=start_s)
 
-    def result(self, profiler, wall_started: float, wall_finished: float) -> HilResult:
+    def result(self, registry, wall_started: float, wall_finished: float) -> HilResult:
         """Assemble the :class:`HilResult` of the finished rollout.
 
         The manifest is pure provenance (config hash, versions, RNG
@@ -131,7 +130,7 @@ class _Lane:
             crashed=self.crashed,
             crash_s=self.crash_s,
             completed=self.completed,
-            profile=profiler.stats() if profiler is not None else None,
+            profile=registry.stage_stats() if registry is not None else None,
             manifest=build_manifest(
                 config=self.engine.config,
                 rng_streams=self.engine.rng_streams,
@@ -221,14 +220,13 @@ class BatchedHilEngine:
         self, engines: Sequence[HilEngine], start_s: float
     ) -> List[HilResult]:
         """Simulate *engines* lock-step (the cache-less core of :meth:`run`)."""
-        # Reuse an already-active profiler (REPRO_PROFILE=1); otherwise
-        # any lane asking for profiling scopes one shared collector over
+        # Reuse an already-active registry (REPRO_PROFILE=1); otherwise
+        # any lane asking for profiling scopes one shared registry over
         # the whole batch (batched spans are whole-batch by nature).
-        profiler = profiling.get_active()
-        local_profiler = None
-        if profiler is None and any(e.config.profile for e in engines):
-            profiler = local_profiler = profiling.Profiler()
-            profiling.activate(local_profiler)
+        registry = profiling.get_active()
+        local_registry = None
+        if registry is None and any(e.config.profile for e in engines):
+            registry = local_registry = profiling.activate()
 
         lanes = [_Lane.start(engine, start_s) for engine in engines]
 
@@ -243,15 +241,11 @@ class BatchedHilEngine:
                     self._cycle_steps(due)
                 active = [lane for lane in active if lane.active]
         finally:
-            if local_profiler is not None:
+            if local_registry is not None:
                 profiling.deactivate()
 
-        rec = telemetry.get_active()
-        if rec is not None and profiler is not None:
-            rec.metrics.absorb_profiler(profiler.stats())
-
         wall_finished = time.time()
-        return [lane.result(profiler, wall_started, wall_finished) for lane in lanes]
+        return [lane.result(registry, wall_started, wall_finished) for lane in lanes]
 
     # ------------------------------------------------------------------
 

@@ -47,7 +47,7 @@ _STAGE_FN_BATCH = {
     IspStage.TONE_MAP: tone_map_batch,
 }
 
-#: Profiler labels, precomputed so the hot loop does no string work.
+#: Span labels, precomputed so the hot loop does no string work.
 _STAGE_LABEL = {stage: f"isp.{stage.name.lower()}" for stage in _STAGE_ORDER}
 
 
@@ -112,7 +112,7 @@ class IspPipeline:
         One batched kernel call per enabled stage; per-lane statistics
         (white-balance gains, auto-exposure) reduce over each lane's own
         trailing axes, so every lane is bit-identical to
-        :meth:`process` of that lane alone.  Profiler spans carry
+        :meth:`process` of that lane alone.  Profiling spans carry
         ``count=B`` so per-frame means stay comparable with serial runs.
         There is no ``tap`` seam here: lanes with an active ISP fault
         tap must take the serial path (the batched driver does exactly

@@ -25,7 +25,7 @@ Scheduling contract (pinned by ``tests/test_service.py``):
   admission (``shutting_down`` errors), finishes every queued and
   in-flight request, flushes the metrics snapshot, then closes.
 - **Observability** — ``health``/``stats`` answer inline from a
-  :class:`~repro.telemetry.metrics.MetricsRegistry` (queue depth,
+  :class:`~repro.utils.profiling.MetricsRegistry` (queue depth,
   in-flight, per-op latency histograms, rejection counters).
 """
 
@@ -52,9 +52,9 @@ from repro.service.errors import (
     ShuttingDownError,
     UnknownOperationError,
 )
-from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.cache import atomic_write
 from repro.utils.parallel import get_executor, resolve_jobs
+from repro.utils.profiling import MetricsRegistry
 
 __all__ = ["SensingServer", "ServerThread", "serve_blocking"]
 
@@ -324,14 +324,8 @@ class SensingServer:
         """Atomically persist the final metrics snapshot, if configured."""
         if self.stats_path is None:
             return
-        self._refresh_gauges()
-        document = {
-            "counters": self.metrics.counters(),
-            "gauges": self.metrics.gauges(),
-            "histograms": self.metrics.histogram_summaries(),
-        }
         with atomic_write(self.stats_path, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
+            json.dump(self._stats(), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
     # -- connection handling ------------------------------------------------
@@ -516,9 +510,11 @@ class SensingServer:
         self._in_flight += 1
         self.metrics.gauge("service.in_flight", self._in_flight)
         started = loop.time()
-        cfut = self._pool.submit(_execute_request, request.op, request.params)
-        afut = asyncio.wrap_future(cfut)
         try:
+            # Inside the try: a broken pool raises here, and the request
+            # must still get its typed error and its slot back.
+            cfut = self._pool.submit(_execute_request, request.op, request.params)
+            afut = asyncio.wrap_future(cfut)
             if job.deadline is None:
                 payload = await afut
             else:

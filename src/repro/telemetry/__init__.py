@@ -1,4 +1,4 @@
-"""Structured run telemetry: events, manifests, metrics, trace files.
+"""Structured run telemetry: events, manifests, trace files.
 
 The observability layer of the reproduction (ROADMAP: "production-scale,
 observable, fast").  Four pieces compose:
@@ -20,10 +20,10 @@ observable, fast").  Four pieces compose:
   plus :func:`load_trace` / :func:`diff_traces` for the ``python -m
   repro trace`` CLI.
 
-Metrics recorded into the active recorder's
-:class:`~repro.telemetry.metrics.MetricsRegistry` survive process-pool
-fan-out: :func:`repro.utils.parallel.parallel_map` funnels per-worker
-snapshots back to the parent registry.
+Counters, gauges and stage timings are not telemetry: they record into
+the one stats collector, :class:`repro.utils.profiling.MetricsRegistry`
+(re-exported here), whose per-worker snapshots
+:func:`repro.utils.parallel.parallel_map` funnels back to the parent.
 """
 
 from repro.telemetry.events import (
@@ -40,7 +40,6 @@ from repro.telemetry.events import (
     SCHEMA_VERSION,
 )
 from repro.telemetry.manifest import ENV_KNOBS, build_manifest
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import (
     TelemetryRecorder,
     activate,
@@ -50,6 +49,7 @@ from repro.telemetry.recorder import (
     telemetry_enabled,
 )
 from repro.telemetry.trace import RunTrace, diff_traces, load_trace, write_trace
+from repro.utils.profiling import MetricsRegistry
 
 __all__ = [
     "SCHEMA_VERSION",

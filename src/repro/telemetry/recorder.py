@@ -29,8 +29,6 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.telemetry.events import EVENT_SCHEMA, SCHEMA_VERSION
-from repro.telemetry.metrics import MetricsRegistry
-from repro.utils import parallel
 
 __all__ = [
     "TelemetryRecorder",
@@ -48,11 +46,15 @@ def telemetry_enabled() -> bool:
 
 
 class TelemetryRecorder:
-    """Accumulates schema-validated events and a metrics registry."""
+    """Accumulates schema-validated events.
+
+    Counters, gauges and stage timings are not kept here: they record
+    into the active :class:`repro.utils.profiling.MetricsRegistry`,
+    which ``REPRO_PROFILE`` gates separately from these events.
+    """
 
     def __init__(self):
         self.events: List[Dict[str, object]] = []
-        self.metrics = MetricsRegistry()
 
     def emit(self, event: str, **fields) -> None:
         """Append one event; *event* must be a registered schema name.
@@ -82,9 +84,8 @@ class TelemetryRecorder:
         return [record for record in self.events if record["event"] == event]
 
     def reset(self) -> None:
-        """Drop all recorded events and metrics."""
+        """Drop all recorded events."""
         self.events.clear()
-        self.metrics.reset()
 
 
 _ACTIVE: Optional[TelemetryRecorder] = None
@@ -129,52 +130,10 @@ def activated(recorder: Optional[TelemetryRecorder]):
         _ACTIVE = previous
 
 
-# -- parallel_map stats funnel ----------------------------------------------
-#
-# Worker processes inherit the parent's active recorder via fork but
-# their events/metrics die with the pool.  Registering this funnel makes
-# parallel_map scope a fresh recorder around each task and ship its
-# metrics snapshot back with the result; per-worker *events* are
-# intentionally dropped (a sweep's event interleaving is not
-# deterministic — its metrics are).
-
-
-def _funnel_parent_active() -> bool:
-    return _ACTIVE is not None
-
-
-def _funnel_begin_task():
-    previous = _ACTIVE
-    fresh = TelemetryRecorder()
-    activate(fresh)
-    return previous, fresh
-
-
-def _funnel_end_task(handle):
-    previous, fresh = handle
-    if previous is not None:
-        activate(previous)
-    else:
-        deactivate()
-    return fresh.metrics.snapshot()
-
-
-def _funnel_merge(snapshot) -> None:
-    active = _ACTIVE
-    if active is not None:
-        active.metrics.merge(snapshot)
-
-
-parallel.register_stats_funnel(
-    parallel.StatsFunnel(
-        name="telemetry",
-        parent_active=_funnel_parent_active,
-        begin_task=_funnel_begin_task,
-        end_task=_funnel_end_task,
-        merge=_funnel_merge,
-    )
-)
-
+# A forked pool worker starts with no active recorder: its events could
+# never reach the parent's trace, and a persistent worker would keep
+# every task's events for the life of the pool.
+os.register_at_fork(after_in_child=deactivate)
 
 # REPRO_TELEMETRY in the environment enables collection for the whole
 # process without touching any call site.

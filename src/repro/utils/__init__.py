@@ -1,7 +1,7 @@
 """Shared utilities: RNG, parallel sweeps, caching, profiling, validation."""
 
 from repro.utils.parallel import TaskFailure, parallel_map, resolve_jobs, task_seed
-from repro.utils.profiling import Profiler, StageStats, profile, profiling_enabled
+from repro.utils.profiling import MetricsRegistry, StageStats, profile, profiling_enabled
 from repro.utils.rng import derive_rng, seed_everything
 from repro.utils.scratch import ScratchCache
 from repro.utils.validation import (
@@ -16,7 +16,7 @@ __all__ = [
     "parallel_map",
     "resolve_jobs",
     "task_seed",
-    "Profiler",
+    "MetricsRegistry",
     "StageStats",
     "profile",
     "profiling_enabled",

@@ -22,11 +22,11 @@ is wall-clock time.  :func:`parallel_map` encodes that contract:
   can both continue and see exactly which knob setting failed.  If the
   pool itself dies (a worker segfault kills the executor), the
   remaining items are re-run serially in-process.
-- **Stats funneling** — process-global collectors (the profiling
-  singleton, the telemetry metrics registry) do not silently lose what
-  workers record: registered :class:`StatsFunnel` instances scope a
-  fresh collector around every task and merge its snapshot back into
-  the parent, identically for serial and pooled execution.
+- **Stats funneling** — the active profiling
+  :class:`~repro.utils.profiling.MetricsRegistry` does not silently
+  lose what workers record: registered :class:`StatsFunnel` instances
+  scope a fresh collector around every task and merge its snapshot
+  back into the parent, identically for serial and pooled execution.
 
 Worker-count resolution (:func:`resolve_jobs`): an explicit integer
 wins, then the ``REPRO_JOBS`` environment variable, then 1 (serial).
@@ -251,9 +251,9 @@ def _run_one(fn: Callable[[T], R], item: T, index: int) -> Union[R, TaskFailure]
 # ---------------------------------------------------------------------------
 # worker-stats funnel
 #
-# Process-global collectors (the profiling singleton, the telemetry
-# recorder) are inherited by forked workers, but whatever a worker
-# records there dies with the pool.  A registered StatsFunnel closes
+# Process-global collectors (the active profiling registry, or any a
+# caller registers) are inherited by forked workers, but whatever a
+# worker records there dies with the pool.  A registered StatsFunnel closes
 # that gap: when its collector is active in the parent, every task —
 # serial or pooled — runs against a fresh per-task collector whose
 # picklable snapshot rides back alongside the result and is merged into
@@ -447,11 +447,10 @@ def _seen(result: Union[R, TaskFailure], label: str) -> Union[R, TaskFailure]:
 
 # -- profiling funnel --------------------------------------------------------
 #
-# The profiling singleton is the original victim of the dropped-stats
-# gap: sweep workers timed their stages into a forked copy of the
-# parent's profiler and the numbers vanished with the pool.  The funnel
-# below fixes that; repro.telemetry registers an equivalent funnel for
-# its metrics registry at import.
+# The active profiling registry is the original victim of the
+# dropped-stats gap: sweep workers timed their stages into a forked copy
+# of the parent's collector and the numbers vanished with the pool.  The
+# funnel below fixes that for stage spans, counters and histograms alike.
 
 
 def _profiling_parent_active() -> bool:
@@ -460,8 +459,7 @@ def _profiling_parent_active() -> bool:
 
 def _profiling_begin_task():
     previous = profiling.get_active()
-    fresh = profiling.Profiler()
-    profiling.activate(fresh)
+    fresh = profiling.activate()
     return previous, fresh
 
 

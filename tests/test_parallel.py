@@ -27,16 +27,14 @@ def _square(x: int) -> int:
 def _profiled_square(x: int) -> int:
     # Binary-exact values: any grouping of their sums is bit-identical,
     # so the jobs=1 / jobs=2 equivalence below can assert ==.
-    profiling.get_active().record("work.item", float(x))
+    profiling.get_active().observe("work.item", float(x))
     return x * x
 
 
-def _telemetered_square(x: int) -> int:
-    from repro.telemetry import recorder as telemetry
-
-    rec = telemetry.get_active()
-    rec.metrics.count("tasks")
-    rec.metrics.observe("task.value", float(x))
+def _counted_square(x: int) -> int:
+    registry = profiling.get_active()
+    registry.count("tasks")
+    registry.observe("task.value", float(x))
     return x * x
 
 
@@ -155,30 +153,28 @@ class TestStatsFunnel:
     VALUES = [1.0, 2.0, 0.5, 4.0]
 
     def _profiled_sweep(self, jobs: int):
-        profiler = profiling.Profiler()
-        with profiling.activated(profiler):
+        registry = profiling.MetricsRegistry()
+        with profiling.activated(registry):
             results = parallel_map(_profiled_square, self.VALUES, jobs=jobs)
         assert results == [v * v for v in self.VALUES]
-        return profiler.stats()
+        return registry.stage_stats()
 
     def test_pool_profiler_stats_match_serial(self):
         serial = self._profiled_sweep(jobs=1)
         pooled = self._profiled_sweep(jobs=2)
         assert serial == pooled
         assert serial["work.item"].count == len(self.VALUES)
-        assert serial["work.item"].total_ms == pytest.approx(7.5e3)
+        assert serial["work.item"].total_ms == pytest.approx(7.5)
 
-    def test_telemetry_metrics_funnel_back(self):
-        from repro.telemetry import TelemetryRecorder, activated
-
+    def test_registry_metrics_funnel_back(self):
         snapshots = {}
         for jobs in (1, 2):
-            with activated(TelemetryRecorder()) as rec:
-                parallel_map(_telemetered_square, self.VALUES, jobs=jobs)
-            snapshots[jobs] = rec.metrics.snapshot()
+            with profiling.activated(profiling.MetricsRegistry()) as registry:
+                parallel_map(_counted_square, self.VALUES, jobs=jobs)
+            snapshots[jobs] = registry.snapshot()
+            assert registry.histogram("task.value") == self.VALUES
         assert snapshots[1] == snapshots[2]
         assert snapshots[1]["counters"]["tasks"] == len(self.VALUES)
-        assert snapshots[1]["histograms"]["task.value"] == self.VALUES
 
     def test_inactive_collectors_funnel_nothing(self):
         # No profiler active in the parent: the plain path runs and the

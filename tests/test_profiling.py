@@ -1,4 +1,5 @@
-"""Tests for the scoped stage profiler and the scratch-buffer pool."""
+"""Tests for the scoped stage spans, the metrics registry they record
+into, and the scratch-buffer pool."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 from repro.utils import profiling
 from repro.utils.profiling import (
     NULL_SPAN,
-    Profiler,
+    MetricsRegistry,
     activated,
     format_stage_table,
     profile,
@@ -18,7 +19,7 @@ from repro.utils.scratch import ScratchCache
 
 @pytest.fixture(autouse=True)
 def _no_global_profiler():
-    """Isolate each test from any env-activated global profiler."""
+    """Isolate each test from any env-activated global registry."""
     previous = profiling.deactivate()
     yield
     if previous is not None:
@@ -38,22 +39,22 @@ class TestDisabledPath:
             assert span is NULL_SPAN
 
     def test_disabled_path_records_nothing(self):
-        profiler = Profiler()
+        registry = MetricsRegistry()
         with profile("stage"):
             pass
-        assert profiler.stats() == {}
+        assert registry.stage_stats() == {}
 
 
 class TestEnabledAggregation:
     def test_span_records_count_total_mean_p95(self):
-        profiler = Profiler()
-        with activated(profiler):
+        registry = MetricsRegistry()
+        with activated(registry):
             for _ in range(5):
                 with profile("stage.a"):
                     pass
             with profile("stage.b"):
                 pass
-        stats = profiler.stats()
+        stats = registry.stage_stats()
         assert list(stats) == ["stage.a", "stage.b"]
         a = stats["stage.a"]
         assert a.count == 5
@@ -62,32 +63,47 @@ class TestEnabledAggregation:
         assert a.p95_ms >= 0.0
 
     def test_record_is_exact(self):
-        profiler = Profiler()
+        registry = MetricsRegistry()
         for ms in (1.0, 2.0, 3.0, 4.0):
-            profiler.record("x", ms / 1e3)
-        stats = profiler.stats()["x"]
+            registry.observe("x", ms)
+        stats = registry.stage_stats()["x"]
         assert stats.count == 4
         assert stats.total_ms == pytest.approx(10.0)
         assert stats.mean_ms == pytest.approx(2.5)
 
+    def test_weighted_observations_keep_per_item_means(self):
+        registry = MetricsRegistry()
+        registry.observe("hil.render", 8.0, count=4)  # one batched call
+        registry.observe("hil.render", 2.0)  # one serial call
+        stats = registry.stage_stats()["hil.render"]
+        assert stats.count == 5
+        assert stats.total_ms == 10.0
+        assert stats.mean_ms == 2.0
+
     def test_sample_cap_keeps_count_and_total(self):
-        profiler = Profiler()
-        cap = Profiler.MAX_SAMPLES
-        profiler._samples["x"] = [0.001] * cap
-        profiler._count["x"] = cap
-        profiler._total["x"] = 0.001 * cap
-        profiler.record("x", 0.001)
-        assert len(profiler._samples["x"]) == cap  # bounded
-        assert profiler.stats()["x"].count == cap + 1  # still counted
+        registry = MetricsRegistry()
+        cap = MetricsRegistry.MAX_SAMPLES
+        for _ in range(cap + 1):
+            registry.observe("x", 1.0)
+        assert len(registry.histogram("x")) == cap  # bounded
+        stats = registry.stage_stats()["x"]
+        assert stats.count == cap + 1  # still counted
+        assert stats.total_ms == cap + 1
+        # A merge past the cap keeps the bound and the running sums.
+        registry.merge(registry.snapshot())
+        assert len(registry.histogram("x")) == cap
+        assert registry.stage_stats()["x"].count == 2 * (cap + 1)
 
     def test_reset_clears_everything(self):
-        profiler = Profiler()
-        profiler.record("x", 0.001)
-        profiler.reset()
-        assert profiler.stats() == {}
+        registry = MetricsRegistry()
+        registry.observe("x", 1.0)
+        registry.count("n")
+        registry.reset()
+        assert registry.counters() == {}
+        assert registry.histogram_summaries() == {}
 
     def test_activated_restores_previous(self):
-        outer, inner = Profiler(), Profiler()
+        outer, inner = MetricsRegistry(), MetricsRegistry()
         with activated(outer):
             with activated(inner):
                 assert profiling.get_active() is inner
@@ -102,17 +118,21 @@ class TestEnabledAggregation:
 
 class TestStageTable:
     def test_table_contains_labels_and_model_column(self):
-        profiler = Profiler()
-        profiler.record("hil.pr", 0.004)
-        text = format_stage_table(profiler.stats(), modeled_ms={"hil.pr": 3.0})
+        registry = MetricsRegistry()
+        registry.observe("hil.pr", 4.0)
+        text = format_stage_table(
+            registry.stage_stats(), modeled_ms={"hil.pr": 3.0}
+        )
         assert "hil.pr" in text
         assert "model ms" in text
         assert "3.000" in text
 
     def test_table_dashes_unmodeled_rows(self):
-        profiler = Profiler()
-        profiler.record("hil.render", 0.001)
-        text = format_stage_table(profiler.stats(), modeled_ms={"hil.pr": 3.0})
+        registry = MetricsRegistry()
+        registry.observe("hil.render", 1.0)
+        text = format_stage_table(
+            registry.stage_stats(), modeled_ms={"hil.pr": 3.0}
+        )
         assert text.splitlines()[1].rstrip().endswith("-")
 
 

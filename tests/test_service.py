@@ -17,6 +17,8 @@ in-flight state deterministically.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import socket as socketlib
 import time
 
@@ -38,6 +40,7 @@ from repro.service.errors import (
     error_for_code,
 )
 from repro.service.server import SensingServer, ServerThread
+from repro.utils.parallel import shutdown_pool
 
 FRAME = (96, 48)
 QUICK = dict(length_m=40.0, frame=FRAME)
@@ -324,6 +327,38 @@ class TestDeadlines:
             assert stats["counters"]["service.abandoned.deadline"] == 1
             # The slot is reclaimed: the server still completes new work.
             assert client.simulate(seed=7, timeout=60.0, **QUICK).completed
+
+
+class TestWorkerLoss:
+    def test_killed_worker_fails_the_next_request_without_wedging(
+        self, tmp_path
+    ):
+        try:
+            with _server(tmp_path) as thread, _connect(thread) as client:
+                assert client.simulate(seed=7, timeout=60.0, **QUICK).completed
+                pool = thread.server._pool
+                for pid in list(pool._processes):
+                    os.kill(pid, signal.SIGKILL)
+                # Let the executor notice, so the next submit itself
+                # raises BrokenProcessPool on the dispatcher.
+                deadline = time.monotonic() + 10.0
+                while not pool._broken and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert pool._broken
+                started = time.monotonic()
+                with pytest.raises(ServiceError):
+                    client.simulate(seed=7, timeout=20.0, **QUICK)
+                assert time.monotonic() - started < 10.0
+                assert client.health()["in_flight"] == 0
+                # The dispatcher survived: a further request is answered
+                # (with a typed error while the pool stays broken).
+                try:
+                    client.simulate(seed=5, timeout=20.0, **QUICK)
+                except ServiceError:
+                    pass
+                assert client.health()["in_flight"] == 0
+        finally:
+            shutdown_pool()
 
 
 class TestCancellation:

@@ -38,7 +38,6 @@ from repro.telemetry import (
     load_trace,
     write_trace,
 )
-from repro.utils import profiling
 from repro.utils.rng import collect_streams, derive_rng
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -120,14 +119,19 @@ class TestMetricsRegistry:
         assert snap["gauges"] == {"last": 2.0}
         assert snap["histograms"] == {"v": [1.0]}
 
-    def test_absorb_profiler_stage_stats(self):
-        profiler = profiling.Profiler()
-        profiler.record("hil.isp", 0.002)
-        profiler.record("hil.isp", 0.004)
+    def test_p95_is_nearest_rank(self):
+        # The ceil(0.95 n)-th smallest sample, for the service's
+        # summaries and the stage stats alike.
         m = MetricsRegistry()
-        m.absorb_profiler(profiler.stats())
-        assert m.counters()["stage.hil.isp.calls"] == 2
-        assert m.histogram("stage.hil.isp.mean_ms") == [pytest.approx(3.0)]
+        for v in range(1, 21):
+            m.observe("twenty", float(v))
+        for v in range(100, 0, -1):
+            m.observe("hundred", float(v))
+        summaries = m.histogram_summaries()
+        assert summaries["twenty"]["p95"] == 19.0
+        assert summaries["hundred"]["p95"] == 95.0
+        assert summaries["twenty"]["count"] == 20
+        assert summaries["twenty"]["mean"] == 10.5
 
 
 class TestManifest:
@@ -310,12 +314,17 @@ class TestClosedLoopTelemetry:
         ]
         assert result.manifest["wall_clock"]["started_at"] is not None
 
-    def test_profiler_stats_absorbed_into_metrics(self):
-        with activated(TelemetryRecorder()) as rec:
-            _simulate(profile=True)
-        counters = rec.metrics.counters()
-        assert counters["stage.hil.render.calls"] > 0
-        assert rec.metrics.histogram("stage.hil.render.mean_ms")
+    def test_active_recorder_leaves_stage_profile_unchanged(self):
+        # Events and stage timings are separate collectors: an active
+        # recorder neither feeds nor alters the run's stage profile.
+        plain = _simulate(profile=True)
+        with activated(TelemetryRecorder()):
+            recorded = _simulate(profile=True)
+        assert list(recorded.profile) == list(plain.profile)
+        assert {k: s.count for k, s in recorded.profile.items()} == {
+            k: s.count for k, s in plain.profile.items()
+        }
+        assert plain.profile["hil.render"].count == len(plain.cycles)
 
     def test_simulate_telemetry_keyword_writes_a_trace(self, tmp_path):
         path = tmp_path / "run.jsonl"
